@@ -14,15 +14,13 @@
 //! to lookahead; [`CmbStats::nulls_sent`] exposes it and experiment E4
 //! sweeps it.
 
-use crate::lp::{
-    in_neighbors, out_neighbors, tie_key, validate_edges, LogicalProcess, LpCtx, LpId, Outgoing,
-};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
+use crate::lp::{out_neighbors, run_lp_threads, validate_run, LogicalProcess, LpCore, LpCtx, LpId};
+use lsds_core::{ScheduledEvent, SimTime};
 use lsds_obs::{
-    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanKind, SpanTrace,
-    Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
+    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
+    TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::Sender;
 
 /// Per-LP execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,28 +74,180 @@ impl<L> CmbReport<L> {
     }
 }
 
+/// What travels along an edge under conservative synchronisation.
 enum Packet<M> {
-    /// Promise: no message with timestamp `< ts` will follow on this edge.
+    /// Promise: no message with timestamp `< ts` will follow on this edge
+    /// (`+∞`: the sender has finished the run).
     Null { ts: f64 },
-    /// A real message due at `at`, with its deterministic tie-break key
-    /// and the tie key of the event that caused it (for the trace DAG).
-    Event {
-        at: SimTime,
-        tie: u64,
-        parent: u64,
-        msg: M,
-    },
-    /// The sender has finished the run; treat its channel clock as +∞.
-    Done,
+    /// A real message, carrying its deterministic tie-break key and the
+    /// tie key of the event that caused it (for the trace DAG).
+    Event(ScheduledEvent<M>),
 }
 
-struct Tagged<M> {
-    src: LpId,
+/// A packet and the receiver's in-edge it travels on.
+pub(crate) struct Tagged<M> {
+    edge: usize,
     packet: Packet<M>,
 }
 
-/// Out-edge table: `(destination, its channel, last promised bound)`.
-type OutEdges<'a, M> = Vec<(LpId, &'a Sender<Tagged<M>>, f64)>;
+impl<M> Tagged<M> {
+    /// Whether this carries a bound rather than an event.
+    pub(crate) fn is_null(&self) -> bool {
+        matches!(self.packet, Packet::Null { .. })
+    }
+}
+
+/// The conservative safety rule, shared by this engine and
+/// [`crate::worksteal`]: per in-edge a **channel clock** (a lower bound on
+/// anything still to arrive on that edge), per out-edge the bound already
+/// promised to the receiver. An LP may run an event strictly below the
+/// minimum of its channel clocks, and may promise its earliest possible
+/// next handler time plus its lookahead. The transports differ — packets
+/// are mailed here, applied under the receiver's lock there — the rule and
+/// its causality checks do not.
+pub(crate) struct ChannelClocks {
+    me: LpId,
+    /// `(in-neighbor, channel clock)`, in edge-declaration order.
+    ins: Vec<(LpId, f64)>,
+    /// Per out-edge, in edge-declaration order (index `k` of the LP's
+    /// out-neighbor list): the receiver, the index of this edge among the
+    /// receiver's in-edges, and the last bound promised on it.
+    outs: Vec<(LpId, usize, f64)>,
+}
+
+impl ChannelClocks {
+    /// The clocks of every LP of an `n`-LP topology, all bounds at zero.
+    pub(crate) fn for_topology(n: usize, edges: &[(LpId, LpId)]) -> Vec<ChannelClocks> {
+        let mut all: Vec<ChannelClocks> = (0..n)
+            .map(|me| ChannelClocks {
+                me,
+                ins: Vec::new(),
+                outs: Vec::new(),
+            })
+            .collect();
+        for &(src, dst) in edges {
+            let edge = all[dst].ins.len();
+            all[dst].ins.push((src, 0.0));
+            all[src].outs.push((dst, edge, 0.0));
+        }
+        all
+    }
+
+    /// Lower bound on every future arrival: the minimum channel clock
+    /// (`+∞` for a pure source, which is always safe).
+    pub(crate) fn safe_time(&self) -> f64 {
+        self.ins
+            .iter()
+            .map(|(_, c)| *c)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The safe-event rule: `core`'s next event runs only strictly below
+    /// the safe time (a message may still arrive exactly at it), and never
+    /// beyond the horizon.
+    pub(crate) fn runnable<L: LogicalProcess>(&self, core: &mut LpCore<L>, t_end: SimTime) -> bool {
+        let safe = self.safe_time();
+        core.next_time()
+            .is_some_and(|t| t.seconds() < safe && t <= t_end)
+    }
+
+    /// Nothing is left within the horizon, locally or on any in-edge.
+    pub(crate) fn finished<L: LogicalProcess>(&self, core: &mut LpCore<L>, t_end: SimTime) -> bool {
+        core.next_time().is_none_or(|t| t > t_end) && self.safe_time() > t_end.seconds()
+    }
+
+    /// Takes a packet off its in-edge: a bound raises the channel clock, an
+    /// event is filed in `core` and — edges being FIFO — raises it too.
+    /// Returns whether the LP may have new work: always for an event, for
+    /// a bound only if the clock rose.
+    pub(crate) fn apply<L: LogicalProcess>(
+        &mut self,
+        core: &mut LpCore<L>,
+        Tagged { edge, packet }: Tagged<L::Msg>,
+    ) -> bool {
+        let (src, clock) = &mut self.ins[edge];
+        match packet {
+            Packet::Null { ts } => {
+                let rose = ts > *clock;
+                *clock = clock.max(ts);
+                rose
+            }
+            Packet::Event(ev) => {
+                // the sender promised (via bounds or earlier events) that
+                // nothing below the channel clock would follow
+                debug_assert!(
+                    ev.time.seconds() >= *clock,
+                    "causality: LP {src} sent event at t={} below its promised bound {clock}",
+                    ev.time
+                );
+                *clock = clock.max(ev.time.seconds());
+                core.accept(ev);
+                true
+            }
+        }
+    }
+
+    /// Puts an event on out-edge `k`.
+    pub(crate) fn depart<M>(&mut self, k: usize, ev: ScheduledEvent<M>) -> Tagged<M> {
+        let (_, edge, promised) = &mut self.outs[k];
+        // the bounds already published on this edge promised `promised`;
+        // an event below it would mean our declared lookahead lied
+        debug_assert!(
+            ev.time.seconds() >= *promised,
+            "causality: LP {} sending t={} below its promised bound {promised} (lookahead violated)",
+            self.me,
+            ev.time
+        );
+        *promised = promised.max(ev.time.seconds());
+        let (edge, packet) = (*edge, Packet::Event(ev));
+        Tagged { edge, packet }
+    }
+
+    /// Lower bound on this LP's future sends: its earliest possible next
+    /// handler time — next local event, safe time or horizon — plus its
+    /// lookahead. This is the null-message payload.
+    fn lower_bound<L: LogicalProcess>(&self, core: &mut LpCore<L>, t_end: SimTime) -> f64 {
+        let next_local = core.next_time().map_or(f64::INFINITY, |t| t.seconds());
+        next_local.min(self.safe_time()).min(t_end.seconds()) + core.lookahead()
+    }
+
+    /// Whether [`ChannelClocks::promise`] would publish anything.
+    pub(crate) fn can_promise<L: LogicalProcess>(
+        &self,
+        core: &mut LpCore<L>,
+        t_end: SimTime,
+    ) -> bool {
+        let ts = self.lower_bound(core, t_end);
+        self.outs.iter().any(|&(_, _, promised)| ts > promised)
+    }
+
+    /// Raises the promise to the current [lower bound](Self::lower_bound)
+    /// on every out-edge still below it, handing `publish` the receiver
+    /// and the null packet for each.
+    pub(crate) fn promise<L: LogicalProcess>(
+        &mut self,
+        core: &mut LpCore<L>,
+        t_end: SimTime,
+        publish: impl FnMut(LpId, Tagged<L::Msg>),
+    ) {
+        self.raise(self.lower_bound(core, t_end), publish);
+    }
+
+    /// The LP has finished: promises `+∞` on every out-edge.
+    pub(crate) fn close<M>(&mut self, publish: impl FnMut(LpId, Tagged<M>)) {
+        self.raise(f64::INFINITY, publish);
+    }
+
+    fn raise<M>(&mut self, ts: f64, mut publish: impl FnMut(LpId, Tagged<M>)) {
+        for (dst, edge, promised) in &mut self.outs {
+            if ts > *promised {
+                *promised = ts;
+                let (edge, packet) = (*edge, Packet::Null { ts });
+                publish(*dst, Tagged { edge, packet });
+            }
+        }
+    }
+}
 
 /// Initial-events hook: called once per LP at time zero, before the run.
 pub trait InitialEvents: LogicalProcess {
@@ -105,234 +255,23 @@ pub trait InitialEvents: LogicalProcess {
     fn initial_events(&mut self, ctx: &mut LpCtx<'_, Self::Msg>);
 }
 
-struct Engine<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> {
-    me: LpId,
-    lp: L,
-    tracer: T,
-    tel: Y,
-    /// Pooled (PR 6): payloads park in a slab, the heap orders fixed
-    /// 32-byte records — no per-event boxing in the LP hot loop.
-    queue: PooledQueue<L::Msg, BinaryHeapQueue<u32>>,
-    clock: SimTime,
-    seq: u64,
-    /// channel clock per in-neighbor id
-    in_clocks: Vec<(LpId, f64)>,
-    /// (dst, sender, last promised lower bound)
-    outs: OutEdges<'a, L::Msg>,
-    /// Owned: `mpsc::Receiver` is `!Sync`, so each LP thread takes its
-    /// receiver with it rather than borrowing from a shared table.
-    rx: Receiver<Tagged<L::Msg>>,
-    stats: CmbStats,
-    staged: Vec<Outgoing<L::Msg>>,
-    t_end: SimTime,
+/// Mails a packet. A disconnected receiver has already terminated (its
+/// safe time passed `t_end`), so anything we would send it now is beyond
+/// the horizon or no longer needed — drop, don't panic.
+fn post<M>(txs: &[Sender<Tagged<M>>], dst: LpId, tagged: Tagged<M>) {
+    txs[dst].send(tagged).ok();
 }
 
-impl<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> Engine<'a, L, T, Y> {
-    fn apply(&mut self, tagged: Tagged<L::Msg>) {
-        let Some(slot) = self.in_clocks.iter_mut().find(|(id, _)| *id == tagged.src) else {
-            debug_assert!(false, "message from undeclared in-neighbor");
-            return;
-        };
-        match tagged.packet {
-            Packet::Null { ts } => slot.1 = slot.1.max(ts),
-            Packet::Event {
-                at,
-                tie,
-                parent,
-                msg,
-            } => {
-                // the sender promised (via null messages or earlier events)
-                // that nothing below the channel clock would follow
-                debug_assert!(
-                    at.seconds() >= slot.1,
-                    "causality: LP {} sent event at t={at} below its promised bound {}",
-                    tagged.src,
-                    slot.1
-                );
-                slot.1 = slot.1.max(at.seconds());
-                self.queue
-                    .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-            }
-            Packet::Done => slot.1 = f64::INFINITY,
-        }
-    }
-
-    fn drain_nonblocking(&mut self) {
-        while let Ok(tagged) = self.rx.try_recv() {
-            self.apply(tagged);
-        }
-    }
-
-    fn safe_time(&self) -> f64 {
-        self.in_clocks
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn flush_staged(&mut self) {
-        for out in self.staged.drain(..) {
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    let tie = tie_key(self.me, self.seq);
-                    self.seq += 1;
-                    self.queue
-                        .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    let tie = tie_key(self.me, self.seq);
-                    self.seq += 1;
-                    let Some((_, tx, last)) = self.outs.iter_mut().find(|(d, _, _)| *d == dst)
-                    else {
-                        debug_assert!(false, "send to undeclared out-neighbor");
-                        continue;
-                    };
-                    // the null messages already sent on this edge promised
-                    // `*last` as a lower bound; an event below it would
-                    // mean our declared lookahead lied
-                    debug_assert!(
-                        at.seconds() >= *last,
-                        "causality: LP {} sending t={at} below its promised bound {last} (lookahead violated)",
-                        self.me
-                    );
-                    // A disconnected receiver has already terminated (its
-                    // safe time passed t_end), so anything we would send
-                    // it now is beyond the horizon — drop, don't panic.
-                    tx.send(Tagged {
-                        src: self.me,
-                        packet: Packet::Event {
-                            at,
-                            tie,
-                            parent,
-                            msg,
-                        },
-                    })
-                    .ok();
-                    *last = last.max(at.seconds());
-                    self.stats.remote_sent += 1;
-                }
-            }
-        }
-    }
-
-    fn handle_one(&mut self, ev: ScheduledEvent<L::Msg>) {
-        let at = ev.time;
-        debug_assert!(at >= self.clock, "causality violation");
-        self.clock = at;
-        self.stats.events += 1;
-        let kind = if T::ENABLED {
-            self.lp.trace_kind(&ev.event)
-        } else {
-            SpanKind::DEFAULT
-        };
-        let token = self.tracer.begin(ev.seq);
-        let mut ctx = LpCtx {
-            now: at,
-            me: self.me,
-            lookahead: self.lp.lookahead(),
-            cause: ev.seq,
-            staged: &mut self.staged,
-        };
-        self.lp.handle(at, ev.event, &mut ctx);
-        self.tracer
-            .record(ev.seq, ev.parent, kind, self.me as u32, at.seconds(), token);
-        self.flush_staged();
-        if Y::ENABLED && self.tel.tick(at.seconds()) {
-            let lane = self.me as u32;
-            self.tel
-                .sample("cmb.queue_len", lane, at.seconds(), self.queue.len() as f64);
-        }
-    }
-
-    fn send_nulls(&mut self) {
-        let next_local = self
-            .queue
-            .peek_time()
-            .map_or(f64::INFINITY, |t| t.seconds());
-        let lb = next_local.min(self.safe_time()).min(self.t_end.seconds()) + self.lp.lookahead();
-        for i in 0..self.outs.len() {
-            if lb > self.outs[i].2 {
-                let (_, tx, _) = &self.outs[i];
-                // Terminated receivers no longer need our bound (see
-                // flush_staged): ignore the disconnect.
-                tx.send(Tagged {
-                    src: self.me,
-                    packet: Packet::Null { ts: lb },
-                })
-                .ok();
-                self.outs[i].2 = lb;
-                self.stats.nulls_sent += 1;
-                if Y::ENABLED {
-                    self.tel.inc("cmb.nulls", self.me as u32, 1);
-                }
-            }
-        }
-    }
-
-    fn run(mut self) -> (L, CmbStats, T, Y) {
-        loop {
-            self.drain_nonblocking();
-            let safe = self.safe_time();
-            // Process strictly below the safe time (a message may still
-            // arrive exactly at `safe`), and never beyond the horizon.
-            while let Some(t) = self.queue.peek_time() {
-                if !(t.seconds() < safe && t <= self.t_end) {
-                    break;
-                }
-                let Some(ev) = self.queue.pop_min() else {
-                    debug_assert!(false, "peeked event vanished");
-                    break;
-                };
-                self.handle_one(ev);
-            }
-            let done_locally = self.queue.peek_time().is_none_or(|t| t > self.t_end);
-            if done_locally && safe > self.t_end.seconds() {
-                for (_, tx, _) in &self.outs {
-                    tx.send(Tagged {
-                        src: self.me,
-                        packet: Packet::Done,
-                    })
-                    .ok();
-                }
-                return (self.lp, self.stats, self.tracer, self.tel);
-            }
-            // Blocked: publish our lower bound, then wait for progress.
-            self.send_nulls();
-            // A pure source (no in-edges) has safe = +inf, so it always
-            // drains its queue and returns above; reaching here with no
-            // in-neighbors would spin forever.
-            assert!(
-                !self.in_clocks.is_empty(),
-                "LP {} blocked with no in-edges",
-                self.me
-            );
-            self.stats.blocks += 1;
-            if Y::ENABLED {
-                self.tel.inc("cmb.blocks", self.me as u32, 1);
-            }
-            // lsds-lint: allow(wall-clock) reason="telemetry measures host time blocked on input; never feeds back into simulated time or delivery order"
-            let blocked_from = Y::ENABLED.then(std::time::Instant::now);
-            let received = self.rx.recv();
-            if let Some(from) = blocked_from {
-                self.tel.inc(
-                    "cmb.blocked_ns",
-                    self.me as u32,
-                    from.elapsed().as_nanos() as u64,
-                );
-            }
-            match received {
-                Ok(tagged) => self.apply(tagged),
-                Err(_) => {
-                    // all senders done and channel drained
-                    return (self.lp, self.stats, self.tracer, self.tel);
-                }
-            }
-        }
+/// The kernel's `remote` sink under this engine: mails a real message
+/// along out-edge `k`, counting it.
+fn mailer<'a, M>(
+    txs: &'a [Sender<Tagged<M>>],
+    clocks: &'a mut ChannelClocks,
+    stats: &'a mut CmbStats,
+) -> impl FnMut(usize, LpId, ScheduledEvent<M>) + 'a {
+    move |k, dst, ev| {
+        post(txs, dst, clocks.depart(k, ev));
+        stats.remote_sent += 1;
     }
 }
 
@@ -416,97 +355,74 @@ where
     T: Tracer + Send,
     Y: Telemetry + Send,
 {
-    let n = lps.len();
-    validate_edges(n, edges);
-    for (i, lp) in lps.iter().enumerate() {
-        assert!(
-            lp.lookahead() > 0.0 && lp.lookahead().is_finite(),
-            "LP {i} must declare positive finite lookahead"
-        );
-    }
-    let mut txs: Vec<Sender<Tagged<L::Msg>>> = Vec::with_capacity(n);
-    let mut rxs: Vec<Option<Receiver<Tagged<L::Msg>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut results: Vec<Option<(L, CmbStats, T, Y)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (me, lp) in lps.into_iter().enumerate() {
-            let in_clocks: Vec<(LpId, f64)> = in_neighbors(edges, me)
-                .into_iter()
-                .map(|s| (s, 0.0))
-                .collect();
-            let outs: OutEdges<'_, L::Msg> = out_neighbors(edges, me)
-                .into_iter()
-                .map(|d| (d, &txs[d], 0.0))
-                .collect();
-            // lsds-lint: allow(hot-path-panic) reason="run setup before any event is processed; each index is taken exactly once by construction"
-            let rx = rxs[me].take().expect("receiver taken twice");
-            let tracer = mk_tracer(me);
-            let tel = mk_tel(me);
-            let handle = scope.spawn(move || {
-                let mut engine = Engine {
-                    me,
-                    lp,
-                    tracer,
-                    tel,
-                    queue: PooledQueue::new(BinaryHeapQueue::new()),
-                    clock: SimTime::ZERO,
-                    seq: 0,
-                    in_clocks,
-                    outs,
-                    rx,
-                    stats: CmbStats::default(),
-                    staged: Vec::new(),
-                    t_end,
-                };
-                // initial events at t = 0
-                let la = engine.lp.lookahead();
-                {
-                    let mut ctx = LpCtx {
-                        now: SimTime::ZERO,
-                        me,
-                        lookahead: la,
-                        cause: NO_PARENT,
-                        staged: &mut engine.staged,
-                    };
-                    engine.lp.initial_events(&mut ctx);
+    validate_run(&lps, edges, Some(0.0));
+    let clocks = ChannelClocks::for_topology(lps.len(), edges);
+    let (lps, stats, tracers, tels) = run_lp_threads(
+        lps.into_iter().zip(clocks).collect(),
+        mk_tracer,
+        mk_tel,
+        |me, (lp, mut clocks), mut tracer, mut tel, rx, txs| {
+            let mut core = LpCore::new(me, lp, out_neighbors(edges, me));
+            let mut stats = CmbStats::default();
+            core.init(mailer(txs, &mut clocks, &mut stats));
+            loop {
+                while let Ok(tagged) = rx.try_recv() {
+                    clocks.apply(&mut core, tagged);
                 }
-                engine.flush_staged();
-                engine.run()
-            });
-            handles.push((me, handle));
-        }
-        for (me, handle) in handles {
-            // lsds-lint: allow(hot-path-panic) reason="thread teardown: propagate an LP thread panic to the caller instead of swallowing it"
-            results[me] = Some(handle.join().expect("LP thread panicked"));
-        }
-    });
-
-    let mut lps_out = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut tracers = Vec::with_capacity(n);
-    let mut tels = Vec::with_capacity(n);
-    for r in results {
-        // lsds-lint: allow(hot-path-panic) reason="post-run teardown: every LP index was joined above"
-        let (lp, st, tr, tel) = r.expect("missing LP result");
-        lps_out.push(lp);
-        stats.push(st);
-        tracers.push(tr);
-        tels.push(tel);
-    }
-    (
-        CmbReport {
-            lps: lps_out,
-            stats,
+                while clocks.runnable(&mut core, t_end) {
+                    let mail = mailer(txs, &mut clocks, &mut stats);
+                    let Some(at) = core.step(&mut tracer, mail) else {
+                        break;
+                    };
+                    if Y::ENABLED && tel.tick(at.seconds()) {
+                        let len = core.queue_len() as f64;
+                        tel.sample("cmb.queue_len", me as u32, at.seconds(), len);
+                    }
+                }
+                if clocks.finished(&mut core, t_end) {
+                    clocks.close(|dst, done| post(txs, dst, done));
+                    break;
+                }
+                // Blocked: publish our lower bound, then wait for progress.
+                clocks.promise(&mut core, t_end, |dst, null| {
+                    post(txs, dst, null);
+                    stats.nulls_sent += 1;
+                    if Y::ENABLED {
+                        tel.inc("cmb.nulls", me as u32, 1);
+                    }
+                });
+                // With safe = +inf (a pure source, or every in-neighbor
+                // done) the LP always drains its queue and finishes above;
+                // blocking on input it can never get would hang the run.
+                assert!(
+                    clocks.safe_time().is_finite(),
+                    "LP {me} blocked with no live in-edges"
+                );
+                stats.blocks += 1;
+                if Y::ENABLED {
+                    tel.inc("cmb.blocks", me as u32, 1);
+                }
+                // lsds-lint: allow(wall-clock) reason="telemetry measures host time blocked on input; never feeds back into simulated time or delivery order"
+                let blocked_from = Y::ENABLED.then(std::time::Instant::now);
+                let received = rx.recv();
+                if let Some(from) = blocked_from {
+                    tel.inc(
+                        "cmb.blocked_ns",
+                        me as u32,
+                        from.elapsed().as_nanos() as u64,
+                    );
+                }
+                // an error means all senders are done and the inbox drained
+                let Ok(tagged) = received else {
+                    break;
+                };
+                clocks.apply(&mut core, tagged);
+            }
+            let (lp, events) = core.finish();
+            (lp, CmbStats { events, ..stats }, tracer, tel)
         },
-        tracers,
-        tels,
-    )
+    );
+    (CmbReport { lps, stats }, tracers, tels)
 }
 
 #[cfg(test)]
@@ -560,6 +476,19 @@ mod tests {
             })
             .collect();
         run_cmb(lps, &ring_edges(n), SimTime::new(t_end))
+    }
+
+    /// In- and out-edges are numbered in declaration order, and every
+    /// out-edge knows its index among its receiver's in-edges.
+    #[test]
+    fn channel_clocks_follow_declaration_order() {
+        let edges = [(0usize, 2usize), (1, 2), (2, 0), (0, 1)];
+        let clocks = ChannelClocks::for_topology(3, &edges);
+        let ins = |lp: usize| -> Vec<LpId> { clocks[lp].ins.iter().map(|e| e.0).collect() };
+        assert_eq!(ins(2), vec![0, 1]);
+        assert_eq!(ins(0), vec![2]);
+        assert_eq!(clocks[0].outs, vec![(2, 0, 0.0), (1, 0, 0.0)]);
+        assert_eq!(clocks[1].outs, vec![(2, 1, 0.0)]);
     }
 
     #[test]

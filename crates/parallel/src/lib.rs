@@ -8,30 +8,27 @@
 //! distributed simulations has not significantly impressed the general
 //! simulation community" (Fujimoto 1993) — because "considerable efforts
 //! and expertise are still required to develop efficient simulation
-//! programs". This crate implements the two classical conservative
-//! designs so experiment E4 can quantify exactly that trade-off:
+//! programs". This crate therefore writes the per-LP step once: [`lp`] is
+//! the kernel (how an event is identified by its `(time, source LP,
+//! sequence)` key, dispatched to its handler and routed along a declared
+//! edge), and each engine module adds only a synchronisation policy:
 //!
-//! * [`cmb`] — asynchronous conservative synchronization with **null
-//!   messages** (Chandy–Misra–Bryant). Each logical process advances as
-//!   far as its input-channel clocks allow; lookahead bounds the null-
-//!   message overhead.
-//! * [`timestep`] — synchronous (barrier) execution in fixed windows no
-//!   wider than the system lookahead.
-//! * [`timewarp`] — **optimistic** synchronization (Jefferson's Time
-//!   Warp): speculative execution with state saving, rollback on
-//!   stragglers, anti-message annihilation, and token-based GVT driving
-//!   fossil collection. Wins where lookahead is short (E4's bad case for
-//!   CMB).
-//! * [`worksteal`] — conservative synchronization on a **work-stealing
-//!   worker pool**: LPs are decoupled from OS threads, channel clocks
-//!   are written through shared memory instead of null messages, and an
-//!   epoch rebalancer migrates LPs between workers by measured cost.
-//!   Wins when LPs outnumber cores (the oversubscription case
-//!   `exp_worksteal` measures).
+//! | engine | next event is safe when | on a straggler | transport |
+//! |---|---|---|---|
+//! | [`sequential`] | it heads the one global list | cannot occur | one thread |
+//! | [`cmb`] | below every in-edge's channel clock | cannot occur | **null messages** (Chandy–Misra–Bryant), thread per LP |
+//! | [`worksteal`] | as CMB | cannot occur | the same packets under the receiver's lock; workers steal runnable LPs |
+//! | [`timestep`] | inside the current window `≤` lookahead | cannot occur | one barrier per window, thread per LP |
+//! | [`timewarp`] | always (**optimistic**) | rollback, anti-messages, GVT | thread per LP |
 //!
-//! All engines are deterministic: events are processed per logical
-//! process in `(time, source, sequence)` order, independent of thread
-//! interleaving, so a parallel run reproduces the centralized result —
+//! Lookahead bounds CMB's null-message overhead (experiment E4); Time Warp
+//! wins where lookahead is short, work-stealing where LPs outnumber cores
+//! (`exp_worksteal`), and [`partition`] places LPs on workers.
+//!
+//! All engines are deterministic: the kernel assigns every event its key
+//! in each LP's local delivery order, so each LP sees its events in the
+//! same `(time, source, sequence)` order whatever the thread
+//! interleaving, and a parallel run reproduces the centralized result —
 //! [`sequential`] is the single-threaded reference the equivalence tests
 //! compare every engine against.
 

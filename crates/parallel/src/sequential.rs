@@ -9,9 +9,12 @@
 //! and Time Warp deliver — so this executor is the bit-identity oracle the
 //! engine-equivalence and rollback property tests compare against.
 
-use crate::lp::{tie_key, validate_edges, LpCtx, LpId, Outgoing};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
-use lsds_obs::{EngineTelemetry, NoopTelemetry, Telemetry, TelemetryConfig, TelemetryReport};
+use crate::lp::{out_neighbors, validate_run, LpId, Port};
+use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime};
+use lsds_obs::{
+    EngineTelemetry, NoopTelemetry, NoopTracer, Telemetry, TelemetryConfig, TelemetryReport,
+};
+use std::cell::RefCell;
 
 /// Result of a sequential reference run.
 #[derive(Debug)]
@@ -33,8 +36,8 @@ impl<L> SequentialReport<L> {
 /// in global `(time, source LP, sequence)` order.
 ///
 /// `edges` lists the directed channels `(src, dst)` exactly as for
-/// [`crate::run_cmb`]; sends are validated against the same declared
-/// topology. Lookahead is *not* enforced here — the reference delivers
+/// [`crate::run_cmb`], and as there a send along an undeclared edge
+/// panics. Lookahead is *not* enforced here — the reference delivers
 /// whatever timestamps the LPs produce, which is what lets it double as
 /// the oracle for Time Warp runs whose sends duck below the declared
 /// lookahead (see [`crate::timewarp`]).
@@ -74,74 +77,47 @@ where
     L: crate::cmb::InitialEvents,
     Y: Telemetry,
 {
-    let n = lps.len();
-    validate_edges(n, edges);
+    validate_run(&lps, edges, None);
     let mut lps = lps;
-    let mut seqs = vec![0u64; n];
-    let mut events = vec![0u64; n];
+    let mut events = vec![0u64; lps.len()];
+    let mut ports: Vec<Port<L::Msg>> = (0..lps.len())
+        .map(|me| Port::new(me, 0.0, out_neighbors(edges, me)))
+        .collect();
     // One global list; the payload carries its destination LP. The `seq`
-    // field holds the cross-LP tie key, as in the parallel engines.
-    let mut queue: PooledQueue<(LpId, L::Msg), BinaryHeapQueue<u32>> =
-        PooledQueue::new(BinaryHeapQueue::new());
-    let mut staged: Vec<Outgoing<L::Msg>> = Vec::new();
-
-    let flush = |me: LpId,
-                 staged: &mut Vec<Outgoing<L::Msg>>,
-                 seqs: &mut Vec<u64>,
-                 queue: &mut PooledQueue<(LpId, L::Msg), BinaryHeapQueue<u32>>| {
-        for out in staged.drain(..) {
-            let tie = tie_key(me, seqs[me]);
-            seqs[me] += 1;
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    queue.insert(ScheduledEvent::with_parent(at, tie, parent, (me, msg)));
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    queue.insert(ScheduledEvent::with_parent(at, tie, parent, (dst, msg)));
-                }
-            }
-        }
+    // field holds the cross-LP tie key, as in the parallel engines. (The
+    // cell lets the kernel's `local` and `remote` sinks share the list.)
+    let queue = RefCell::new(PooledQueue::new(BinaryHeapQueue::<u32>::new()));
+    let deliver = |dst: LpId, ev: ScheduledEvent<L::Msg>| {
+        let ev = ScheduledEvent::with_parent(ev.time, ev.seq, ev.parent, (dst, ev.event));
+        queue.borrow_mut().insert(ev);
     };
 
-    for (me, lp) in lps.iter_mut().enumerate() {
-        let mut ctx = LpCtx {
-            now: SimTime::ZERO,
-            me,
-            lookahead: 0.0,
-            cause: NO_PARENT,
-            staged: &mut staged,
-        };
-        lp.initial_events(&mut ctx);
-        flush(me, &mut staged, &mut seqs, &mut queue);
+    for (me, (lp, port)) in lps.iter_mut().zip(&mut ports).enumerate() {
+        port.dispatch_initial(lp);
+        port.route(|ev| deliver(me, ev), |_, dst, ev| deliver(dst, ev));
     }
 
-    while let Some(t) = queue.peek_time() {
-        if t > t_end {
-            break;
-        }
-        let Some(ev) = queue.pop_min() else {
+    loop {
+        let ev = {
+            let mut queue = queue.borrow_mut();
+            if queue.peek_time().is_none_or(|t| t > t_end) {
+                break;
+            }
+            queue.pop_min()
+        };
+        let Some(ev) = ev else {
             debug_assert!(false, "peeked event vanished");
             break;
         };
-        let (dst, msg) = ev.event;
-        events[dst] += 1;
+        let (me, msg) = ev.event;
+        events[me] += 1;
         if Y::ENABLED && tel.tick(ev.time.seconds()) {
-            tel.sample("seq.queue_len", 0, ev.time.seconds(), queue.len() as f64);
+            let len = queue.borrow().len() as f64;
+            tel.sample("seq.queue_len", 0, ev.time.seconds(), len);
         }
-        let mut ctx = LpCtx {
-            now: ev.time,
-            me: dst,
-            lookahead: 0.0,
-            cause: ev.seq,
-            staged: &mut staged,
-        };
-        lps[dst].handle(ev.time, msg, &mut ctx);
-        flush(dst, &mut staged, &mut seqs, &mut queue);
+        let ev = ScheduledEvent::with_parent(ev.time, ev.seq, ev.parent, msg);
+        ports[me].dispatch(&mut lps[me], ev, &mut NoopTracer);
+        ports[me].route(|ev| deliver(me, ev), |_, dst, ev| deliver(dst, ev));
     }
 
     (SequentialReport { lps, events }, tel)
@@ -151,7 +127,7 @@ where
 mod tests {
     use super::*;
     use crate::cmb::InitialEvents;
-    use crate::lp::LogicalProcess;
+    use crate::lp::{LogicalProcess, LpCtx};
 
     struct Hop {
         n: usize,

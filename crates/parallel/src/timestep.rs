@@ -9,13 +9,12 @@
 //! LP pays for every window — idle partitions wait at the barrier
 //! (measured in experiment E4).
 
-use crate::lp::{tie_key, LpCtx, LpId, Outgoing};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
+use crate::lp::{run_lp_threads, validate_run, LpCore, LpId};
+use lsds_core::{ScheduledEvent, SimTime};
 use lsds_obs::{
-    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanKind, SpanTrace,
-    Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
+    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
+    TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Barrier;
 
 /// Result of a time-stepped parallel run.
@@ -44,13 +43,6 @@ impl<L> TimestepReport<L> {
             reg.inc(&format!("timestep.lp.{i}.events"), *ev);
         }
     }
-}
-
-struct Mail<M> {
-    at: SimTime,
-    tie: u64,
-    parent: u64,
-    msg: M,
 }
 
 /// Runs logical processes to `t_end` in synchronized windows of `delta`.
@@ -131,223 +123,71 @@ where
     Y: Telemetry + Send,
 {
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive");
+    // No edge list: any LP may send to any other. The window invariant
+    // needs every remote message to land in a strictly later window.
+    validate_run(&lps, &[], Some(delta));
     let n = lps.len();
-    for (i, lp) in lps.iter().enumerate() {
-        assert!(
-            lp.lookahead() >= delta,
-            "LP {i} lookahead {} below window {delta}",
-            lp.lookahead()
-        );
-    }
     let windows = (t_end.seconds() / delta).ceil() as u64;
     let barrier = Barrier::new(n);
-    let mut txs: Vec<Sender<Mail<L::Msg>>> = Vec::with_capacity(n);
-    let mut rxs: Vec<Option<Receiver<Mail<L::Msg>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut out: Vec<Option<(L, u64, T, Y)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        let txs = &txs;
-        for (me, lp) in lps.into_iter().enumerate() {
-            let barrier = &barrier;
-            let senders: Vec<&Sender<Mail<L::Msg>>> = txs.iter().collect();
-            // mpsc::Receiver is !Sync: the LP thread owns its receiver
-            // lsds-lint: allow(hot-path-panic) reason="run setup before any event is processed; each index is taken exactly once by construction"
-            let rx = rxs[me].take().expect("receiver taken twice");
-            let tracer = mk_tracer(me);
-            let tel = mk_tel(me);
-            handles.push((
-                me,
-                scope.spawn(move || {
-                    let mut lp = lp;
-                    let mut tracer = tracer;
-                    let mut tel = tel;
-                    // pooled (PR 6): payloads park in a slab, the heap
-                    // orders fixed 32-byte records — no per-event boxing
-                    let mut queue: PooledQueue<L::Msg, BinaryHeapQueue<u32>> =
-                        PooledQueue::new(BinaryHeapQueue::new());
-                    let mut staged: Vec<Outgoing<L::Msg>> = Vec::new();
-                    let mut seq: u64 = 0;
-                    let mut events: u64 = 0;
-                    // delivered timestamps must never regress: a message
-                    // landing in an already-processed window would mean the
-                    // window invariant (delay ≥ δ) was violated
-                    #[cfg(debug_assertions)]
-                    let mut last_t = SimTime::ZERO;
-                    let la = lp.lookahead();
-
-                    // t = 0 initial events
-                    {
-                        let mut ctx = LpCtx {
-                            now: SimTime::ZERO,
-                            me,
-                            lookahead: la,
-                            cause: NO_PARENT,
-                            staged: &mut staged,
-                        };
-                        lp.initial_events(&mut ctx);
+    let (lps, events, tracers, tels) = run_lp_threads(
+        lps,
+        mk_tracer,
+        mk_tel,
+        |me, lp, mut tracer, mut tel, rx, txs| {
+            let mut core = LpCore::new(me, lp, (0..n).filter(|&d| d != me).collect());
+            // A peer that already returned (closing pass, after the last
+            // barrier) only drops mail due past t_end — the window
+            // invariant (delay ≥ δ) makes such mail unprocessable anyway,
+            // so ignore the disconnect.
+            let mail = |_, dst: LpId, ev: ScheduledEvent<L::Msg>| {
+                txs[dst].send(ev).ok();
+            };
+            core.init(mail);
+            // Window w < windows processes events with t ∈ [wδ, (w+1)δ).
+            // delay ≥ δ guarantees a message sent in window w is due at
+            // or after (w+1)δ, so one barrier per window is the only
+            // synchronization needed (see module docs). The closing pass
+            // (w == windows) takes the events landing exactly on t_end,
+            // which the half-open windows exclude; window 0 needs no
+            // barrier before it.
+            for w in 0..=windows {
+                if w > 0 {
+                    if Y::ENABLED {
+                        tel.inc("ts.barrier_waits", me as u32, 1);
+                        // lsds-lint: allow(wall-clock) reason="telemetry measures host time waiting at the window barrier; never feeds back into simulated time or delivery order"
+                        let from = std::time::Instant::now();
+                        barrier.wait();
+                        tel.inc("ts.barrier_ns", me as u32, from.elapsed().as_nanos() as u64);
+                    } else {
+                        barrier.wait();
                     }
-                    flush(me, &mut staged, &mut seq, &mut queue, &senders);
-
-                    // Window w processes events with t ∈ [wδ, (w+1)δ).
-                    // delay ≥ δ guarantees a message sent in window w is
-                    // due at or after (w+1)δ, so one barrier per window is
-                    // the only synchronization needed (see module docs).
-                    for w in 0..windows {
-                        let w_end = (w + 1) as f64 * delta;
-                        // mail sent in earlier windows is fully delivered
-                        // (the barrier below is the happens-before edge)
-                        while let Ok(mail) = rx.try_recv() {
-                            queue.insert(ScheduledEvent::with_parent(
-                                mail.at,
-                                mail.tie,
-                                mail.parent,
-                                mail.msg,
-                            ));
-                        }
-                        while let Some(t) = queue.peek_time() {
-                            if t.seconds() >= w_end || t > t_end {
-                                break;
-                            }
-                            let Some(ev) = queue.pop_min() else {
-                                debug_assert!(false, "peeked event vanished");
-                                break;
-                            };
-                            #[cfg(debug_assertions)]
-                            {
-                                assert!(
-                                    ev.time >= last_t,
-                                    "causality: LP {me} delivered t={} after t={last_t}",
-                                    ev.time
-                                );
-                                last_t = ev.time;
-                            }
-                            events += 1;
-                            let kind = if T::ENABLED {
-                                lp.trace_kind(&ev.event)
-                            } else {
-                                SpanKind::DEFAULT
-                            };
-                            let token = tracer.begin(ev.seq);
-                            let mut ctx = LpCtx {
-                                now: ev.time,
-                                me,
-                                lookahead: la,
-                                cause: ev.seq,
-                                staged: &mut staged,
-                            };
-                            lp.handle(ev.time, ev.event, &mut ctx);
-                            tracer.record(
-                                ev.seq,
-                                ev.parent,
-                                kind,
-                                me as u32,
-                                ev.time.seconds(),
-                                token,
-                            );
-                            flush(me, &mut staged, &mut seq, &mut queue, &senders);
-                            if Y::ENABLED && tel.tick(ev.time.seconds()) {
-                                tel.sample(
-                                    "ts.queue_len",
-                                    me as u32,
-                                    ev.time.seconds(),
-                                    queue.len() as f64,
-                                );
-                            }
-                        }
-                        if Y::ENABLED {
-                            tel.inc("ts.barrier_waits", me as u32, 1);
-                            // lsds-lint: allow(wall-clock) reason="telemetry measures host time waiting at the window barrier; never feeds back into simulated time or delivery order"
-                            let from = std::time::Instant::now();
-                            barrier.wait();
-                            tel.inc("ts.barrier_ns", me as u32, from.elapsed().as_nanos() as u64);
-                        } else {
-                            barrier.wait();
-                        }
+                }
+                // mail sent in earlier windows is fully delivered (the
+                // barrier above is the happens-before edge)
+                while let Ok(ev) = rx.try_recv() {
+                    core.accept(ev);
+                }
+                let open = |t: SimTime| w == windows || t.seconds() < (w + 1) as f64 * delta;
+                // A message landing in an already-processed window would
+                // mean the window invariant was violated; the core's
+                // clock check catches that regression in debug builds.
+                while core.next_time().is_some_and(|t| open(t) && t <= t_end) {
+                    let Some(at) = core.step(&mut tracer, mail) else {
+                        break;
+                    };
+                    if Y::ENABLED && tel.tick(at.seconds()) {
+                        let len = core.queue_len() as f64;
+                        tel.sample("ts.queue_len", me as u32, at.seconds(), len);
                     }
-                    // Closing phase: events landing exactly on t_end (the
-                    // half-open windows above exclude the right edge).
-                    while let Ok(mail) = rx.try_recv() {
-                        queue.insert(ScheduledEvent::with_parent(
-                            mail.at,
-                            mail.tie,
-                            mail.parent,
-                            mail.msg,
-                        ));
-                    }
-                    while let Some(t) = queue.peek_time() {
-                        if t > t_end {
-                            break;
-                        }
-                        let Some(ev) = queue.pop_min() else {
-                            debug_assert!(false, "peeked event vanished");
-                            break;
-                        };
-                        #[cfg(debug_assertions)]
-                        {
-                            assert!(
-                                ev.time >= last_t,
-                                "causality: LP {me} delivered t={} after t={last_t}",
-                                ev.time
-                            );
-                            last_t = ev.time;
-                        }
-                        events += 1;
-                        let kind = if T::ENABLED {
-                            lp.trace_kind(&ev.event)
-                        } else {
-                            SpanKind::DEFAULT
-                        };
-                        let token = tracer.begin(ev.seq);
-                        let mut ctx = LpCtx {
-                            now: ev.time,
-                            me,
-                            lookahead: la,
-                            cause: ev.seq,
-                            staged: &mut staged,
-                        };
-                        lp.handle(ev.time, ev.event, &mut ctx);
-                        tracer.record(ev.seq, ev.parent, kind, me as u32, ev.time.seconds(), token);
-                        flush(me, &mut staged, &mut seq, &mut queue, &senders);
-                        if Y::ENABLED && tel.tick(ev.time.seconds()) {
-                            tel.sample(
-                                "ts.queue_len",
-                                me as u32,
-                                ev.time.seconds(),
-                                queue.len() as f64,
-                            );
-                        }
-                    }
-                    (lp, events, tracer, tel)
-                }),
-            ));
-        }
-        for (me, h) in handles {
-            // lsds-lint: allow(hot-path-panic) reason="thread teardown: propagate an LP thread panic to the caller instead of swallowing it"
-            out[me] = Some(h.join().expect("timestep LP panicked"));
-        }
-    });
-
-    let mut lps_out = Vec::with_capacity(n);
-    let mut events = Vec::with_capacity(n);
-    let mut tracers = Vec::with_capacity(n);
-    let mut tels = Vec::with_capacity(n);
-    for o in out {
-        // lsds-lint: allow(hot-path-panic) reason="post-run teardown: every LP index was joined above"
-        let (lp, ev, tr, tel) = o.expect("missing LP result");
-        lps_out.push(lp);
-        events.push(ev);
-        tracers.push(tr);
-        tels.push(tel);
-    }
+                }
+            }
+            let (lp, events) = core.finish();
+            (lp, events, tracer, tel)
+        },
+    );
     (
         TimestepReport {
-            lps: lps_out,
+            lps,
             events,
             windows,
         },
@@ -356,48 +196,11 @@ where
     )
 }
 
-fn flush<M>(
-    me: LpId,
-    staged: &mut Vec<Outgoing<M>>,
-    seq: &mut u64,
-    queue: &mut PooledQueue<M, BinaryHeapQueue<u32>>,
-    senders: &[&Sender<Mail<M>>],
-) {
-    for outgoing in staged.drain(..) {
-        let tie = tie_key(me, *seq);
-        *seq += 1;
-        match outgoing {
-            Outgoing::Local { at, parent, msg } => {
-                queue.insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-            }
-            Outgoing::Remote {
-                dst,
-                at,
-                parent,
-                msg,
-            } => {
-                // A peer that already returned (closing phase, after the
-                // last barrier) only drops mail due past t_end — the
-                // window invariant (delay ≥ δ) makes such mail
-                // unprocessable anyway, so ignore the disconnect.
-                senders[dst]
-                    .send(Mail {
-                        at,
-                        tie,
-                        parent,
-                        msg,
-                    })
-                    .ok();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cmb::InitialEvents;
-    use crate::lp::LogicalProcess;
+    use crate::lp::{LogicalProcess, LpCtx};
 
     struct Hopper {
         n: usize,

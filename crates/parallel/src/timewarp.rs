@@ -28,14 +28,16 @@
 //! canonical order of equal-time events depend on message arrival timing.
 
 use crate::cmb::InitialEvents;
-use crate::lp::{pack, tie_key, validate_edges, LogicalProcess, LpCtx, LpId, Outgoing};
-use lsds_core::{EventPool, SimTime, NO_PARENT};
+use crate::lp::{
+    out_neighbors, pack, run_lp_threads, unpack, validate_run, LogicalProcess, LpId, Port,
+};
+use lsds_core::{EventPool, ScheduledEvent, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanKind, SpanTrace,
     Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// State snapshotting hook for optimistic execution.
 ///
@@ -210,14 +212,9 @@ struct Token {
 }
 
 enum TwPacket<M> {
-    /// A positive message due at `at`, with its deterministic tie-break
-    /// key and the tie key of the causing event (for the trace DAG).
-    Event {
-        at: SimTime,
-        tie: u64,
-        parent: u64,
-        msg: M,
-    },
+    /// A positive message, with its deterministic tie-break key and the
+    /// tie key of the causing event (for the trace DAG).
+    Event(ScheduledEvent<M>),
     /// Cancels the positive message with the same `(at, tie)`. Per-edge
     /// FIFO (one mpsc sender per directed pair) guarantees it arrives
     /// after its positive and before any re-sent message reusing the tie.
@@ -279,10 +276,14 @@ struct LocalRec {
     tie: u64,
 }
 
-struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
+struct Engine<'a, L: SaveState, T: Tracer, Y: Telemetry> {
     me: LpId,
-    n: usize,
     lp: L,
+    /// Handlers run under the smallest positive lookahead: optimism
+    /// tolerates sends far below the declared one, but not zero-delay
+    /// cross-LP sends, which would make the canonical order of equal-time
+    /// events depend on arrival timing.
+    port: Port<L::Msg>,
     tracer: T,
     tel: Y,
     /// Unprocessed events in `(time, tie)` order.
@@ -296,7 +297,6 @@ struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
     sends: VecDeque<SendRec>,
     locals: VecDeque<LocalRec>,
     clock: SimTime,
-    seq: u64,
     /// Events executed since the last snapshot.
     gap: u32,
     gvt: f64,
@@ -307,15 +307,15 @@ struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
     recv_delta: i64,
     /// Min timestamp sent (positive or anti) since the token's last visit.
     min_sent: f64,
-    txs: Vec<Sender<TwPacket<L::Msg>>>,
+    /// Every LP's inbox, by id; the GVT ring is `me → (me + 1) % len`.
+    txs: &'a [Sender<TwPacket<L::Msg>>],
     rx: Receiver<TwPacket<L::Msg>>,
-    staged: Vec<Outgoing<L::Msg>>,
     stats: TwStats,
     cfg: TwConfig,
     t_end: SimTime,
 }
 
-impl<L, T, Y> Engine<L, T, Y>
+impl<L, T, Y> Engine<'_, L, T, Y>
 where
     L: SaveState,
     L::Msg: Clone,
@@ -324,14 +324,9 @@ where
 {
     fn apply(&mut self, packet: TwPacket<L::Msg>) {
         match packet {
-            TwPacket::Event {
-                at,
-                tie,
-                parent,
-                msg,
-            } => {
+            TwPacket::Event(ev) => {
                 self.recv_delta += 1;
-                self.insert_event(at, tie, parent, msg);
+                self.insert_event(ev);
             }
             TwPacket::Anti { at, tie } => {
                 self.recv_delta += 1;
@@ -342,16 +337,23 @@ where
                 self.token = Some(tok);
             }
             TwPacket::Stop => {
-                let next = (self.me + 1) % self.n;
-                if next != 0 {
-                    self.txs[next].send(TwPacket::Stop).ok();
-                }
-                self.stop = true;
+                self.stop_ring();
             }
         }
     }
 
-    fn insert_event(&mut self, at: SimTime, tie: u64, parent: u64, msg: L::Msg) {
+    /// Stops this LP and passes `Stop` on, once around the ring from LP 0.
+    fn stop_ring(&mut self) {
+        let next = (self.me + 1) % self.txs.len();
+        if next != 0 {
+            self.txs[next].send(TwPacket::Stop).ok();
+        }
+        self.stop = true;
+    }
+
+    /// Files a positive message from another LP; a straggler rolls back.
+    fn insert_event(&mut self, ev: ScheduledEvent<L::Msg>) {
+        let (at, tie, parent, msg) = (ev.time, ev.seq, ev.parent, ev.event);
         // Straggler: we already executed something at or past `at`. Equal
         // times roll back too — the canonical order within an equal-time
         // group is replayed from the group's start, which keeps ties
@@ -470,7 +472,7 @@ where
                     return;
                 };
                 self.lp.restore(state);
-                self.seq = rec.seq_before;
+                self.port.rewind(rec.seq_before);
             } else if rec.state_slot != NO_STATE {
                 self.states.claim(rec.state_slot);
             }
@@ -496,7 +498,7 @@ where
         let Some((&key, pe)) = self.pending.first_key_value() else {
             return false;
         };
-        let at = SimTime::new(f64::from_bits((key >> 64) as u64));
+        let (at, tie) = unpack(key);
         if at > self.t_end {
             return false;
         }
@@ -507,7 +509,6 @@ where
             return false;
         }
         debug_assert!(at >= self.clock, "optimistic delivery went backwards");
-        let tie = key as u64;
         let slot = pe.slot;
         let parent = pe.parent;
         let Some(msg) = self.pool.get(slot).cloned() else {
@@ -523,7 +524,7 @@ where
             NO_STATE
         };
         self.gap += 1;
-        let seq_before = self.seq;
+        let seq_before = self.port.seq();
         let kind = if T::ENABLED {
             self.lp.trace_kind(&msg)
         } else {
@@ -535,18 +536,10 @@ where
         } else {
             None
         };
-        let mut ctx = LpCtx {
-            now: at,
-            me: self.me,
-            // Optimism tolerates sends far below the declared lookahead —
-            // but not zero-delay cross-LP sends, which would make the
-            // canonical order of equal-time events depend on arrival
-            // timing. The smallest positive double excludes exactly 0.
-            lookahead: f64::MIN_POSITIVE,
-            cause: tie,
-            staged: &mut self.staged,
-        };
-        self.lp.handle(at, msg, &mut ctx);
+        // The span is buffered until commit, so the kernel's
+        // `begin`/`record` bracket gets the no-op tracer.
+        let ev = ScheduledEvent::with_parent(at, tie, parent, msg);
+        self.port.dispatch(&mut self.lp, ev, &mut NoopTracer);
         let wall_ns = wall_start.map_or(0, |s| {
             u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
@@ -581,44 +574,33 @@ where
         true
     }
 
+    /// Routes what the last handler staged: local events into `pending`,
+    /// sends onto the wire — both on record, so a rollback can undo them.
+    /// Returns `(remote sends, local schedules)`.
     fn flush_staged(&mut self) -> (u32, u32) {
         let mut n_sends = 0u32;
         let mut n_locals = 0u32;
-        for out in self.staged.drain(..) {
-            let tie = tie_key(self.me, self.seq);
-            self.seq += 1;
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    let slot = self.pool.park(msg);
-                    let prev = self
-                        .pending
-                        .insert(pack(at, tie), PendingEv { slot, parent });
-                    debug_assert!(prev.is_none(), "duplicate local event key");
-                    self.locals.push_back(LocalRec { at, tie });
-                    n_locals += 1;
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    self.txs[dst]
-                        .send(TwPacket::Event {
-                            at,
-                            tie,
-                            parent,
-                            msg,
-                        })
-                        .ok();
-                    self.sends.push_back(SendRec { dst, at, tie });
-                    self.stats.remote_sent += 1;
-                    self.sent_delta += 1;
-                    self.min_sent = self.min_sent.min(at.seconds());
-                    n_sends += 1;
-                }
-            }
-        }
+        self.port.route(
+            |ev| {
+                let (at, tie) = (ev.time, ev.seq);
+                let (slot, parent) = (self.pool.park(ev.event), ev.parent);
+                let prev = self
+                    .pending
+                    .insert(pack(at, tie), PendingEv { slot, parent });
+                debug_assert!(prev.is_none(), "duplicate local event key");
+                self.locals.push_back(LocalRec { at, tie });
+                n_locals += 1;
+            },
+            |_, dst, ev| {
+                let (at, tie) = (ev.time, ev.seq);
+                self.txs[dst].send(TwPacket::Event(ev)).ok();
+                self.sends.push_back(SendRec { dst, at, tie });
+                self.stats.remote_sent += 1;
+                self.sent_delta += 1;
+                self.min_sent = self.min_sent.min(at.seconds());
+                n_sends += 1;
+            },
+        );
         (n_sends, n_locals)
     }
 
@@ -626,17 +608,12 @@ where
     /// event within the horizon (events past `t_end` never execute, so
     /// they cannot cause rollbacks).
     fn local_floor(&self) -> f64 {
-        match self.pending.first_key_value() {
-            Some((&key, _)) => {
-                let t = f64::from_bits((key >> 64) as u64);
-                if t > self.t_end.seconds() {
-                    f64::INFINITY
-                } else {
-                    t
-                }
-            }
-            None => f64::INFINITY,
-        }
+        let next = self
+            .pending
+            .first_key_value()
+            .map(|(&key, _)| unpack(key).0);
+        next.filter(|&t| t <= self.t_end)
+            .map_or(f64::INFINITY, SimTime::seconds)
     }
 
     fn token_step(&mut self, mut tok: Token) {
@@ -654,11 +631,7 @@ where
                     }
                     tok.gvt = self.gvt;
                     if self.gvt > self.t_end.seconds() {
-                        let next = (self.me + 1) % self.n;
-                        if next != 0 {
-                            self.txs[next].send(TwPacket::Stop).ok();
-                        }
-                        self.stop = true;
+                        self.stop_ring();
                         return;
                     }
                 }
@@ -678,7 +651,7 @@ where
         self.sent_delta = 0;
         self.recv_delta = 0;
         self.min_sent = f64::INFINITY;
-        self.txs[(self.me + 1) % self.n]
+        self.txs[(self.me + 1) % self.txs.len()]
             .send(TwPacket::Token(tok))
             .ok();
     }
@@ -878,114 +851,55 @@ where
     T: Tracer + Send,
     Y: Telemetry + Send,
 {
-    let n = lps.len();
-    assert!(n > 0, "no logical processes");
     assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be ≥ 1");
     assert!(cfg.window >= 0.0, "window must be non-negative");
-    validate_edges(n, edges);
-    let mut txs: Vec<Sender<TwPacket<L::Msg>>> = Vec::with_capacity(n);
-    let mut rxs: Vec<Option<Receiver<TwPacket<L::Msg>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut results: Vec<Option<(L, TwStats, T, Y)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (me, lp) in lps.into_iter().enumerate() {
-            // lsds-lint: allow(hot-path-panic) reason="run setup before any event is processed; each index is taken exactly once by construction"
-            let rx = rxs[me].take().expect("receiver taken twice");
-            let txs = txs.clone();
-            let tracer = mk_tracer(me);
-            let tel = mk_tel(me);
-            let handle = scope.spawn(move || {
-                let mut engine = Engine {
-                    me,
-                    n,
-                    lp,
-                    tracer,
-                    tel,
-                    pending: BTreeMap::new(),
-                    pool: EventPool::new(),
-                    states: EventPool::new(),
-                    processed: VecDeque::new(),
-                    sends: VecDeque::new(),
-                    locals: VecDeque::new(),
-                    clock: SimTime::ZERO,
-                    seq: 0,
-                    gap: 0,
+    validate_run(&lps, edges, None);
+    let (lps, stats, tracers, tels) =
+        run_lp_threads(lps, mk_tracer, mk_tel, |me, lp, tracer, tel, rx, txs| {
+            let mut engine = Engine {
+                me,
+                lp,
+                port: Port::new(me, f64::MIN_POSITIVE, out_neighbors(edges, me)),
+                tracer,
+                tel,
+                pending: BTreeMap::new(),
+                pool: EventPool::new(),
+                states: EventPool::new(),
+                processed: VecDeque::new(),
+                sends: VecDeque::new(),
+                locals: VecDeque::new(),
+                clock: SimTime::ZERO,
+                gap: 0,
+                gvt: 0.0,
+                // Seed the GVT ring at LP 0; the seed visit (round 0)
+                // only folds and forwards, round 1 starts circulating.
+                token: (me == 0).then_some(Token {
+                    round: 0,
+                    min: f64::INFINITY,
+                    outstanding: 0,
                     gvt: 0.0,
-                    token: None,
-                    stop: false,
-                    sent_delta: 0,
-                    recv_delta: 0,
-                    min_sent: f64::INFINITY,
-                    txs,
-                    rx,
-                    staged: Vec::new(),
-                    stats: TwStats::default(),
-                    cfg,
-                    t_end,
-                };
-                {
-                    let mut ctx = LpCtx {
-                        now: SimTime::ZERO,
-                        me,
-                        lookahead: f64::MIN_POSITIVE,
-                        cause: NO_PARENT,
-                        staged: &mut engine.staged,
-                    };
-                    engine.lp.initial_events(&mut ctx);
-                }
-                engine.flush_staged();
-                if me == 0 {
-                    // Seed the GVT ring; the seed visit (round 0) only
-                    // folds and forwards, round 1 starts circulating.
-                    engine.token = Some(Token {
-                        round: 0,
-                        min: f64::INFINITY,
-                        outstanding: 0,
-                        gvt: 0.0,
-                    });
-                }
-                engine.run()
-            });
-            handles.push((me, handle));
-        }
-        for (me, handle) in handles {
-            // lsds-lint: allow(hot-path-panic) reason="thread teardown: propagate an LP thread panic to the caller instead of swallowing it"
-            results[me] = Some(handle.join().expect("LP thread panicked"));
-        }
-    });
-    drop(txs);
-
-    let mut lps_out = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut tracers = Vec::with_capacity(n);
-    let mut tels = Vec::with_capacity(n);
-    for r in results {
-        // lsds-lint: allow(hot-path-panic) reason="post-run teardown: every LP index was joined above"
-        let (lp, st, tr, tel) = r.expect("missing LP result");
-        lps_out.push(lp);
-        stats.push(st);
-        tracers.push(tr);
-        tels.push(tel);
-    }
-    (
-        TwReport {
-            lps: lps_out,
-            stats,
-        },
-        tracers,
-        tels,
-    )
+                }),
+                stop: false,
+                sent_delta: 0,
+                recv_delta: 0,
+                min_sent: f64::INFINITY,
+                txs,
+                rx,
+                stats: TwStats::default(),
+                cfg,
+                t_end,
+            };
+            engine.port.dispatch_initial(&mut engine.lp);
+            engine.flush_staged();
+            engine.run()
+        });
+    (TwReport { lps, stats }, tracers, tels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lp::LpCtx;
     use crate::sequential::run_sequential;
 
     /// Ring token-passer with an optimistic twist: the declared lookahead

@@ -12,15 +12,15 @@
 //!
 //! Synchronization is conservative, but shared memory replaces the null
 //! message: each LP keeps per-in-edge **channel clocks** exactly as CMB
-//! does, and a sender *writes its new lower bound directly into the
-//! receiver's state* (under the receiver's lock) instead of mailing a
-//! null. The classical liveness argument is unchanged — positive
+//! does (the same `ChannelClocks`, the same packets), and a sender
+//! *applies its new lower bound directly to the receiver's state* (under
+//! the receiver's lock) instead of mailing a null. The classical liveness argument is unchanged — positive
 //! lookahead makes bounds strictly increase around any cycle — but a
 //! bound update costs one mutex acquisition instead of a channel
 //! round-trip plus an OS thread wake-up. (The optimistic analog — an LP
 //! is runnable when it holds unprocessed events above GVT — drops into
 //! the same scheduler skeleton; [`crate::timewarp`] keeps thread-per-LP
-//! for now and shares the ordering helpers in `lp.rs` instead.)
+//! for now and shares the LP kernel in `lp.rs` instead.)
 //!
 //! Determinism is inherited wholesale: events carry the same `(time,
 //! source LP, sequence)` tie keys, each LP delivers in ascending
@@ -47,11 +47,12 @@
 //! from the drained queue — above the in-flight events' timestamps — and
 //! the receiver could run past a message that had not landed yet.
 
-use crate::cmb::InitialEvents;
-use crate::lp::{tie_key, validate_edges, LogicalProcess, LpCtx, LpId, Outgoing};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
+use crate::cmb::{ChannelClocks, InitialEvents, Tagged};
+use crate::lp::{join, out_neighbors, validate_run, LogicalProcess, LpCore, LpId};
+use lsds_core::SimTime;
 use lsds_obs::{
-    EngineTelemetry, NoopTelemetry, Registry, Telemetry, TelemetryConfig, TelemetryReport,
+    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, Telemetry, TelemetryConfig,
+    TelemetryReport,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -199,43 +200,16 @@ impl<L> WsReport<L> {
     }
 }
 
-/// Mutable core of one LP; every access goes through the slot's mutex.
+/// Mutable state of one LP; every access goes through the slot's mutex.
 struct LpState<L: LogicalProcess> {
-    lp: L,
-    lookahead: f64,
-    /// Pooled pending events in `(time, tie)` order.
-    queue: PooledQueue<L::Msg, BinaryHeapQueue<u32>>,
-    /// Channel clock per in-neighbor: lower bound on future arrivals,
-    /// written directly by the sending LP's activation.
-    in_clocks: Vec<(LpId, f64)>,
-    /// Last bound promised on each out-edge (parallel to `LpSlot::outs`);
-    /// skips redundant neighbor locking when the promise has not moved.
-    out_bounds: Vec<f64>,
-    clock: SimTime,
-    seq: u64,
+    core: LpCore<L>,
+    /// Channel clocks as in CMB — but the in-clocks are written directly
+    /// by the sending LP's activation, and the out-bounds skip redundant
+    /// neighbor locking when the promise has not moved.
+    clocks: ChannelClocks,
     done: bool,
-    staged: Vec<Outgoing<L::Msg>>,
+    /// `events` stays zero until teardown copies the core's count in.
     stats: WsStats,
-}
-
-impl<L: LogicalProcess> LpState<L> {
-    fn safe_time(&self) -> f64 {
-        self.in_clocks
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Lower bound on this LP's future sends: its earliest possible next
-    /// handler time plus lookahead — identical to CMB's null payload.
-    /// (`&mut` only because the pooled queue's peek is `&mut`.)
-    fn lower_bound(&mut self, t_end: SimTime) -> f64 {
-        let next_local = self
-            .queue
-            .peek_time()
-            .map_or(f64::INFINITY, |t| t.seconds());
-        next_local.min(self.safe_time()).min(t_end.seconds()) + self.lookahead
-    }
 }
 
 /// One LP's scheduling shell. The flags live outside the mutex so
@@ -255,22 +229,12 @@ struct LpSlot<L: LogicalProcess> {
     /// build from the same costs) instead of one epoch's noisy sample,
     /// and teardown reports it as [`WsReport::cost_ns`].
     cost_total_ns: AtomicU64,
-    /// Static out-edge table: `(dst, index of this LP in dst.in_clocks)`.
-    outs: Vec<(LpId, usize)>,
 }
 
-/// A staged remote delivery, carried from the producing activation
+/// A packet staged for `LpId`: carried from the producing activation
 /// (computed under the sender's lock) to the delivery phase (applied
 /// under the receiver's lock) — the two locks are never held at once.
-struct Delivery<M> {
-    dst: LpId,
-    /// Index of the sender in `dst`'s `in_clocks`.
-    idx: usize,
-    at: SimTime,
-    tie: u64,
-    parent: u64,
-    msg: M,
-}
+type Outbox<M> = Vec<(LpId, Tagged<M>)>;
 
 struct Scheduler<L: LogicalProcess> {
     slots: Vec<LpSlot<L>>,
@@ -394,7 +358,7 @@ impl<L: LogicalProcess> Scheduler<L> {
     /// LP's own lock, then event delivery and bound publication into
     /// neighbor state lock-by-lock, then the closing re-check.
     ///
-    /// `outbox`/`bounds`/`wake` are worker-local scratch, reused across
+    /// `outbox`/`wake` are worker-local scratch, reused across
     /// activations to avoid reallocating. `me` is the *executing* worker
     /// (possibly a thief), which is the telemetry track the activation's
     /// counters land on.
@@ -403,8 +367,7 @@ impl<L: LogicalProcess> Scheduler<L> {
         me: usize,
         lp: LpId,
         tel: &mut Y,
-        outbox: &mut Vec<Delivery<L::Msg>>,
-        bounds: &mut Vec<(LpId, usize, f64)>,
+        outbox: &mut Outbox<L::Msg>,
         wake: &mut Vec<LpId>,
     ) {
         let slot = &self.slots[lp];
@@ -415,7 +378,7 @@ impl<L: LogicalProcess> Scheduler<L> {
                 return;
             };
             // Reborrow through the guard once so disjoint-field borrows
-            // (queue vs. staged vs. stats) work inside the loop.
+            // (core vs. clocks vs. counters) work inside the loop.
             let st = &mut *guard;
             if st.done {
                 slot.queued.store(false, SeqCst);
@@ -427,141 +390,45 @@ impl<L: LogicalProcess> Scheduler<L> {
             }
             // lsds-lint: allow(wall-clock) reason="scheduler load measurement for epoch rebalancing; feeds worker placement only, never simulated time or results"
             let wall_start = std::time::Instant::now();
-            while did < self.cfg.batch as u64 {
-                let safe = st.safe_time();
-                let Some(t) = st.queue.peek_time() else {
+            while did < self.cfg.batch as u64 && st.clocks.runnable(&mut st.core, self.t_end) {
+                // Ties are assigned in staging order; locals go back into
+                // our queue, remotes into the outbox.
+                let Some(at) = st.core.step(&mut NoopTracer, |k, dst, ev| {
+                    st.stats.remote_sent += 1;
+                    outbox.push((dst, st.clocks.depart(k, ev)));
+                }) else {
                     break;
                 };
-                // Strictly below the safe time (a message may still land
-                // exactly at `safe`), never beyond the horizon.
-                if !(t.seconds() < safe && t <= self.t_end) {
-                    break;
-                }
-                let Some(ev) = st.queue.pop_min() else {
-                    debug_assert!(false, "peeked event vanished");
-                    break;
-                };
-                debug_assert!(ev.time >= st.clock, "causality violation");
-                st.clock = ev.time;
-                st.stats.events += 1;
                 did += 1;
-                if Y::ENABLED && tel.tick(ev.time.seconds()) {
+                if Y::ENABLED && tel.tick(at.seconds()) {
                     // Deque depth of the executing worker at the sample
                     // point. Lock order state → deque is acyclic: no
                     // path takes an LP state lock while holding a deque
                     // lock.
                     let depth = self.deques[me].lock().map_or(0, |d| d.len());
-                    tel.sample("ws.deque_len", me as u32, ev.time.seconds(), depth as f64);
-                }
-                let la = st.lookahead;
-                let LpState {
-                    lp: ref mut model,
-                    ref mut staged,
-                    ..
-                } = *st;
-                let mut ctx = LpCtx {
-                    now: ev.time,
-                    me: lp,
-                    lookahead: la,
-                    cause: ev.seq,
-                    staged,
-                };
-                model.handle(ev.time, ev.event, &mut ctx);
-                // Assign ties in staging order and route: locals back
-                // into our queue, remotes into the outbox.
-                for out in st.staged.drain(..) {
-                    let tie = tie_key(lp, st.seq);
-                    st.seq += 1;
-                    match out {
-                        Outgoing::Local { at, parent, msg } => {
-                            st.queue
-                                .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-                        }
-                        Outgoing::Remote {
-                            dst,
-                            at,
-                            parent,
-                            msg,
-                        } => {
-                            let Some(k) = slot.outs.iter().position(|(d, _)| *d == dst) else {
-                                debug_assert!(false, "send to undeclared out-neighbor");
-                                continue;
-                            };
-                            // Earlier nulls/events on this edge promised
-                            // `out_bounds[k]`; going below it would mean
-                            // the declared lookahead lied.
-                            debug_assert!(
-                                at.seconds() >= st.out_bounds[k],
-                                "causality: LP {lp} sending t={at} below its promised bound {} (lookahead violated)",
-                                st.out_bounds[k]
-                            );
-                            st.out_bounds[k] = st.out_bounds[k].max(at.seconds());
-                            st.stats.remote_sent += 1;
-                            outbox.push(Delivery {
-                                dst,
-                                idx: slot.outs[k].1,
-                                at,
-                                tie,
-                                parent,
-                                msg,
-                            });
-                        }
-                    }
+                    tel.sample("ws.deque_len", me as u32, at.seconds(), depth as f64);
                 }
             }
             let spent = u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             slot.cost_total_ns.fetch_add(spent, SeqCst);
-            // New promises to publish once the staged events are out.
-            let lb = st.lower_bound(self.t_end);
-            for (k, &(dst, idx)) in slot.outs.iter().enumerate() {
-                if lb > st.out_bounds[k] {
-                    st.out_bounds[k] = lb;
-                    bounds.push((dst, idx, lb));
-                }
-            }
-            let drained = st.queue.peek_time().is_none_or(|t| t > self.t_end);
-            if drained && st.safe_time() > self.t_end.seconds() {
+            // New promises go out BEHIND the staged events: a bound
+            // computed from the drained queue may exceed a staged event's
+            // timestamp, so the event must land first.
+            st.clocks.promise(&mut st.core, self.t_end, |dst, null| {
+                outbox.push((dst, null))
+            });
+            if st.clocks.finished(&mut st.core, self.t_end) {
                 st.done = true;
                 became_done = true;
             }
         }
-        // Deliver events BEFORE publishing bounds: a bound computed from
-        // the drained queue may exceed a staged event's timestamp, so the
-        // event must land first.
-        for d in outbox.drain(..) {
-            if let Ok(mut dst_st) = self.slots[d.dst].state.lock() {
-                debug_assert!(
-                    d.at.seconds() >= dst_st.in_clocks[d.idx].1,
-                    "causality: LP {lp} delivered t={} below its promised bound {}",
-                    d.at,
-                    dst_st.in_clocks[d.idx].1
-                );
-                // Per-edge deliveries are in send order (activations are
-                // serialized), so as with CMB's FIFO channels the event
-                // itself also advances the channel clock.
-                dst_st.in_clocks[d.idx].1 = dst_st.in_clocks[d.idx].1.max(d.at.seconds());
-                dst_st
-                    .queue
-                    .insert(ScheduledEvent::with_parent(d.at, d.tie, d.parent, d.msg));
-            }
-            wake.push(d.dst);
-        }
-        for (dst, idx, lb) in bounds.drain(..) {
-            let advanced = match self.slots[dst].state.lock() {
-                Ok(mut dst_st) => {
-                    let c = &mut dst_st.in_clocks[idx].1;
-                    if lb > *c {
-                        *c = lb;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Err(_) => false,
-            };
-            if advanced {
-                self.bound_updates.fetch_add(1, SeqCst);
+        for (dst, tagged) in outbox.drain(..) {
+            let is_bound = tagged.is_null();
+            if self.deliver(dst, tagged) {
                 wake.push(dst);
+                if is_bound {
+                    self.bound_updates.fetch_add(1, SeqCst);
+                }
             }
         }
         for dst in wake.drain(..) {
@@ -600,31 +467,30 @@ impl<L: LogicalProcess> Scheduler<L> {
         if became_done {
             return;
         }
-        let rerun = match slot.state.lock() {
-            Ok(mut guard) => {
-                let st = &mut *guard;
-                if st.done {
-                    false
-                } else {
-                    let safe = st.safe_time();
-                    let runnable = st
-                        .queue
-                        .peek_time()
-                        .is_some_and(|t| t.seconds() < safe && t <= self.t_end);
-                    let drained = st.queue.peek_time().is_none_or(|t| t > self.t_end);
-                    let finishable = drained && safe > self.t_end.seconds();
-                    // A higher in-clock can raise our own promise even
-                    // with nothing runnable; neighbors may need it.
-                    let lb = st.lower_bound(self.t_end);
-                    let promotes = st.out_bounds.iter().any(|&b| lb > b);
-                    runnable || finishable || promotes
-                }
-            }
-            Err(_) => false,
-        };
+        let rerun = slot.state.lock().is_ok_and(|mut guard| {
+            let LpState {
+                core, clocks, done, ..
+            } = &mut *guard;
+            // A higher in-clock can raise our own promise even with
+            // nothing runnable; neighbors may need it.
+            !*done
+                && (clocks.runnable(core, self.t_end)
+                    || clocks.finished(core, self.t_end)
+                    || clocks.can_promise(core, self.t_end))
+        });
         if rerun {
             self.enqueue(lp);
         }
+    }
+
+    /// Applies a packet to `dst` under its lock, reporting whether `dst`
+    /// may have new work. Per-edge deliveries are in send order
+    /// (activations are serialized), so the edge is FIFO as a CMB channel.
+    fn deliver(&self, dst: LpId, tagged: Tagged<L::Msg>) -> bool {
+        self.slots[dst].state.lock().is_ok_and(|mut guard| {
+            let LpState { core, clocks, .. } = &mut *guard;
+            clocks.apply(core, tagged)
+        })
     }
 
     fn worker<Y: Telemetry>(&self, me: usize, mut tel: Y) -> Y {
@@ -644,14 +510,13 @@ impl<L: LogicalProcess> Scheduler<L> {
         }
         let _abort = AbortOnPanic(self);
         let mut outbox = Vec::new();
-        let mut bounds = Vec::new();
         let mut wake = Vec::new();
         loop {
             if self.live.load(SeqCst) == 0 || self.failed.load(SeqCst) {
                 return tel;
             }
             if let Some(lp) = self.next_lp(me, &mut tel) {
-                self.activate(me, lp, &mut tel, &mut outbox, &mut bounds, &mut wake);
+                self.activate(me, lp, &mut tel, &mut outbox, &mut wake);
                 continue;
             }
             let Ok(g) = self.park_lock.lock() else {
@@ -737,18 +602,12 @@ where
     L: InitialEvents,
     Y: Telemetry + Send,
 {
-    let n = lps.len();
-    validate_edges(n, edges);
     assert!(cfg.batch >= 1, "batch must be at least 1");
     if let Some(epoch) = cfg.migration_epoch {
         assert!(epoch >= 1, "migration epoch must be at least 1");
     }
-    for (i, lp) in lps.iter().enumerate() {
-        assert!(
-            lp.lookahead() > 0.0 && lp.lookahead().is_finite(),
-            "LP {i} must declare positive finite lookahead"
-        );
-    }
+    validate_run(&lps, edges, Some(0.0));
+    let n = lps.len();
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map_or(1, |c| c.get())
     } else {
@@ -756,49 +615,45 @@ where
     }
     .clamp(1, n.max(1));
 
-    // Build slots: per-LP state, channel clocks per in-edge, and the
-    // static out-edge table pointing at each receiver's clock index.
-    let in_lists: Vec<Vec<LpId>> = (0..n).map(|d| crate::lp::in_neighbors(edges, d)).collect();
-    let mut slots: Vec<LpSlot<L>> = Vec::with_capacity(n);
-    for (me, lp) in lps.into_iter().enumerate() {
-        let outs: Vec<(LpId, usize)> = crate::lp::out_neighbors(edges, me)
-            .into_iter()
-            .map(|d| {
-                let Some(idx) = in_lists[d].iter().position(|&s| s == me) else {
-                    // lsds-lint: allow(hot-path-panic) reason="one-time topology construction before any worker starts; both lists derive from the same validated edge set"
-                    unreachable!("out-edge without matching in-edge");
-                };
-                (d, idx)
-            })
-            .collect();
-        let lookahead = lp.lookahead();
-        let out_bounds = vec![0.0; outs.len()];
-        slots.push(LpSlot {
-            state: Mutex::new(LpState {
-                lp,
-                lookahead,
-                queue: PooledQueue::new(BinaryHeapQueue::new()),
-                in_clocks: in_lists[me].iter().map(|&s| (s, 0.0)).collect(),
-                out_bounds,
-                clock: SimTime::ZERO,
-                seq: 0,
-                done: false,
-                staged: Vec::new(),
-                stats: WsStats::default(),
-            }),
-            queued: AtomicBool::new(true),
-            home: AtomicUsize::new(me % workers),
-            cost_total_ns: AtomicU64::new(0),
-            outs,
-        });
-    }
-
+    // Initial events at t = 0 are staged single-threaded, before any
+    // worker starts: locals go straight into each queue, remotes are
+    // delivered below (no promise can be violated — every channel clock is
+    // still at its initial 0.0 and sends respect lookahead > 0). Every LP
+    // starts queued on its home deque (round-robin) so each publishes its
+    // first bound even if it holds no events.
+    let mut initial_remote: Outbox<L::Msg> = Vec::new();
+    let slots: Vec<LpSlot<L>> = lps
+        .into_iter()
+        .zip(ChannelClocks::for_topology(n, edges))
+        .enumerate()
+        .map(|(me, (lp, mut clocks))| {
+            let mut core = LpCore::new(me, lp, out_neighbors(edges, me));
+            let mut stats = WsStats::default();
+            core.init(|k, dst, ev| {
+                stats.remote_sent += 1;
+                initial_remote.push((dst, clocks.depart(k, ev)));
+            });
+            LpSlot {
+                state: Mutex::new(LpState {
+                    core,
+                    clocks,
+                    done: false,
+                    stats,
+                }),
+                queued: AtomicBool::new(true),
+                home: AtomicUsize::new(me % workers),
+                cost_total_ns: AtomicU64::new(0),
+            }
+        })
+        .collect();
     let sched = Scheduler {
         slots,
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        deques: (0..workers)
+            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
+            .collect(),
         park_lock: Mutex::new(()),
         park_cv: Condvar::new(),
-        pending: AtomicUsize::new(0),
+        pending: AtomicUsize::new(n),
         live: AtomicUsize::new(n),
         failed: AtomicBool::new(false),
         events_total: AtomicU64::new(0),
@@ -812,104 +667,21 @@ where
         cfg,
     };
 
-    // Initial events at t = 0, staged single-threaded before any worker
-    // starts: locals go straight into each queue, remotes are delivered
-    // directly (no promise can be violated — every channel clock is
-    // still at its initial 0.0 and sends respect lookahead > 0).
-    let mut initial_remote: Vec<Delivery<L::Msg>> = Vec::new();
-    for me in 0..n {
-        let slot = &sched.slots[me];
-        let Ok(mut guard) = slot.state.lock() else {
-            continue;
-        };
-        let st = &mut *guard;
-        let la = st.lookahead;
-        {
-            let LpState {
-                ref mut lp,
-                ref mut staged,
-                ..
-            } = *st;
-            let mut ctx = LpCtx {
-                now: SimTime::ZERO,
-                me,
-                lookahead: la,
-                cause: NO_PARENT,
-                staged,
-            };
-            lp.initial_events(&mut ctx);
-        }
-        for out in st.staged.drain(..) {
-            let tie = tie_key(me, st.seq);
-            st.seq += 1;
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    st.queue
-                        .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    let Some(k) = slot.outs.iter().position(|(d, _)| *d == dst) else {
-                        debug_assert!(false, "initial send to undeclared out-neighbor");
-                        continue;
-                    };
-                    st.out_bounds[k] = st.out_bounds[k].max(at.seconds());
-                    st.stats.remote_sent += 1;
-                    initial_remote.push(Delivery {
-                        dst,
-                        idx: slot.outs[k].1,
-                        at,
-                        tie,
-                        parent,
-                        msg,
-                    });
-                }
-            }
-        }
-    }
-    for d in initial_remote {
-        if let Ok(mut st) = sched.slots[d.dst].state.lock() {
-            st.in_clocks[d.idx].1 = st.in_clocks[d.idx].1.max(d.at.seconds());
-            st.queue
-                .insert(ScheduledEvent::with_parent(d.at, d.tie, d.parent, d.msg));
-        }
+    for (dst, tagged) in initial_remote {
+        sched.deliver(dst, tagged);
     }
 
-    // Every LP starts queued (the flags were initialized `true`) so each
-    // publishes its first bound even if it holds no events.
-    for me in 0..n {
-        let w = sched.slots[me].home.load(SeqCst);
-        if let Ok(mut dq) = sched.deques[w].lock() {
-            dq.push_back(me);
-        }
-        sched.pending.fetch_add(1, SeqCst);
-    }
-
-    // Workers park their finished sinks here keyed by worker id; a
-    // panicking worker never reports one, and the scope re-raises its
-    // panic before the sinks are read.
-    let tel_out: Mutex<Vec<(usize, Y)>> = Mutex::new(Vec::with_capacity(workers));
-    if n > 0 {
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let s = &sched;
-                let out = &tel_out;
-                let tel = mk_tel(w);
-                scope.spawn(move || {
-                    let tel = s.worker(w, tel);
-                    if let Ok(mut v) = out.lock() {
-                        v.push((w, tel));
-                    }
-                });
-            }
-        });
-    }
-    let mut tels: Vec<(usize, Y)> = tel_out.into_inner().unwrap_or_else(|e| e.into_inner());
-    tels.sort_by_key(|&(w, _)| w);
+    // A panicking worker never returns a sink: joining re-raises its
+    // panic (with the original message) once its peers have shut down.
+    let tels: Vec<Y> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (sched, tel) = (&sched, mk_tel(w));
+                scope.spawn(move || sched.worker(w, tel))
+            })
+            .collect();
+        handles.into_iter().map(join).collect()
+    });
 
     let mut lps_out = Vec::with_capacity(n);
     let mut stats = Vec::with_capacity(n);
@@ -929,8 +701,9 @@ where
         // lsds-lint: allow(hot-path-panic) reason="post-run teardown: a panicked worker has already propagated through the thread scope"
         let st = slot.state.into_inner().expect("worker panicked");
         debug_assert!(st.done, "scheduler terminated with an unfinished LP");
-        lps_out.push(st.lp);
-        stats.push(st.stats);
+        let (lp, events) = st.core.finish();
+        lps_out.push(lp);
+        stats.push(WsStats { events, ..st.stats });
     }
     (
         WsReport {
@@ -947,13 +720,14 @@ where
             homes,
             cost_ns,
         },
-        tels.into_iter().map(|(_, t)| t).collect(),
+        tels,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lp::LpCtx;
     use crate::sequential::run_sequential;
 
     /// Ring of LPs passing a token every `delay`.
@@ -1160,12 +934,12 @@ mod tests {
     /// contract. The causality assertion must abort the whole run —
     /// every worker exits and the panic propagates — rather than
     /// stranding peer workers parked forever (debug builds only; the
-    /// check is a `debug_assert`). The scope re-raises the worker's
-    /// death as its own generic panic; the original "lookahead
-    /// violated" assertion message goes to stderr.
+    /// check is a `debug_assert`). The driver joins every worker and
+    /// re-raises the first panic with its original payload, so the
+    /// caller sees the assertion's own message.
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "lookahead violated")]
     fn non_monotone_sends_abort_instead_of_hanging() {
         struct Shrinking {
             sent_far: bool,

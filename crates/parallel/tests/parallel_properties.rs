@@ -14,6 +14,7 @@ use lsds_parallel::{
     SaveState,
 };
 use lsds_stats::SimRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const TRIALS: u64 = 24;
 
@@ -153,6 +154,123 @@ fn engines_agree_at_exact_horizon_boundary() {
         );
         assert_eq!(seq.total_events(), tw.total_events());
         assert_eq!(seq.total_events(), ws.total_events());
+    }
+}
+
+/// Delivered events and final LP states of one run, or the message it
+/// panicked with.
+type Outcome<L> = Result<(u64, Vec<L>), String>;
+
+/// The five executors as one table: engine name → outcome. The
+/// time-stepped engine takes its window `delta` where the others take the
+/// edge list.
+fn run_every_engine<L>(
+    mk: impl Fn() -> Vec<L>,
+    edges: &[(usize, usize)],
+    delta: f64,
+    t_end: SimTime,
+) -> Vec<(&'static str, Outcome<L>)>
+where
+    L: SaveState + InitialEvents,
+    L::Msg: Clone,
+{
+    fn caught<R>(run: impl FnOnce() -> R) -> Result<R, String> {
+        catch_unwind(AssertUnwindSafe(run)).map_err(|payload| {
+            let text = payload.downcast_ref::<String>().cloned();
+            text.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+    macro_rules! row {
+        ($engine:literal, $run:expr) => {
+            ($engine, caught(|| $run).map(|r| (r.total_events(), r.lps)))
+        };
+    }
+    vec![
+        row!("sequential", run_sequential(mk(), edges, t_end)),
+        row!("cmb", run_cmb(mk(), edges, t_end)),
+        row!("timestep", run_timestep(mk(), delta, t_end)),
+        row!("timewarp", run_timewarp(mk(), edges, t_end)),
+        row!("worksteal", run_worksteal(mk(), edges, t_end)),
+    ]
+}
+
+/// Sends to the next LP although no edge is declared at all. Every LP
+/// misbehaves and none has an in-edge to wait on, so every LP thread of
+/// the thread-per-LP engines terminates (a lone panicking LP would leave
+/// Time Warp's GVT ring, or a CMB receiver, blocked forever).
+#[derive(Clone)]
+struct Stray {
+    n: usize,
+}
+
+impl LogicalProcess for Stray {
+    type Msg = ();
+    fn handle(&mut self, _now: SimTime, _msg: (), ctx: &mut LpCtx<'_, ()>) {
+        ctx.send((ctx.me() + 1) % self.n, 1.0, ());
+    }
+    fn lookahead(&self) -> f64 {
+        1.0
+    }
+}
+
+impl InitialEvents for Stray {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, ()>) {
+        ctx.schedule_in(0.0, ());
+    }
+}
+
+impl SaveState for Stray {
+    type Saved = ();
+    fn save(&self) {}
+    fn restore(&mut self, _saved: ()) {}
+}
+
+/// A send with no declared `(src, dst)` edge is a model bug: every engine
+/// that takes an edge list must refuse it with the kernel's one message,
+/// in debug and release alike. (Before the shared kernel, sequential and
+/// Time Warp delivered it and release builds of CMB and worksteal dropped
+/// it silently.)
+#[test]
+fn undeclared_edge_panics_in_every_engine() {
+    let expected = [
+        "LP 0 sent to LP 1: no declared edge",
+        "LP 1 sent to LP 0: no declared edge",
+    ];
+    let mk = || vec![Stray { n: 2 }; 2];
+    for (engine, outcome) in run_every_engine(mk, &[], 1.0, SimTime::new(5.0)) {
+        if engine == "timestep" {
+            continue; // no edge list: any LP may send to any other
+        }
+        let message = outcome
+            .err()
+            .unwrap_or_else(|| panic!("{engine} delivered it"));
+        assert!(
+            expected.contains(&message.as_str()),
+            "{engine} panicked with {message:?}"
+        );
+    }
+}
+
+/// The tie key holds the source LP in 16 bits; one LP more must be
+/// rejected at setup, before any LP thread is spawned.
+#[test]
+fn too_many_lps_rejected_at_setup() {
+    let mk = || vec![Stray { n: 1 }; (1 << 16) + 1];
+    for (engine, outcome) in run_every_engine(mk, &[], 1.0, SimTime::new(1.0)) {
+        let message = outcome.err().unwrap_or_else(|| panic!("{engine} ran it"));
+        assert!(
+            message.contains("tie key"),
+            "{engine} panicked with {message:?}"
+        );
+    }
+}
+
+#[test]
+fn zero_lps_is_an_empty_report_in_every_engine() {
+    for (engine, outcome) in run_every_engine(Vec::<Ring>::new, &[], 1.0, SimTime::new(10.0)) {
+        let (events, lps) = outcome.unwrap_or_else(|m| panic!("{engine} panicked: {m}"));
+        assert!(lps.is_empty() && events == 0, "{engine}");
     }
 }
 
