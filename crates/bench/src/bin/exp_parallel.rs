@@ -180,14 +180,24 @@ fn run_worksteal_engine(
     )
 }
 
+/// Value of `--workers N`; absent or 0 lets the scheduler use the host's
+/// available parallelism.
+fn workers_arg(args: &[String]) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == "--workers") else {
+        return Ok(0);
+    };
+    let value = args.get(i + 1).ok_or("--workers needs a value")?;
+    value
+        .parse()
+        .map_err(|_| format!("--workers takes a number, got {value:?}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // 0 = let the scheduler use the host's available parallelism
-    let ws_workers: usize = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .map_or(0, |v| v.parse().expect("--workers takes a number"));
+    let ws_workers = workers_arg(&args).unwrap_or_else(|why| {
+        eprintln!("usage: exp_parallel [--workers N] ({why})");
+        std::process::exit(2);
+    });
     let horizon = 200.0;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -18,15 +18,15 @@
 //! | `exp_mapping` | E12 — job→context mapping schemes |
 //! | `exp_granularity` | E13 — packet- vs flow-level networks |
 //!
-//! Benches (`benches/`) measure the wall-clock side of E2, E3, E4, E12
-//! and E13 on the in-tree Criterion-compatible [`harness`] (the offline
-//! build has no external bench framework).
+//! The binaries print the paper's tables; the wall-clock columns some of
+//! them carry are exhibits, not performance claims. How fast the
+//! simulator is, and whether a change made it slower, is answered only by
+//! the `benchmark/` package at the repository root (metric names in
+//! `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod harness;
 pub mod workloads;
 
-pub use harness::{black_box, Bencher, BenchmarkGroup, BenchmarkId, Criterion, Throughput};
 pub use workloads::*;

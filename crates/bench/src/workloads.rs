@@ -1,6 +1,8 @@
-//! Shared workload drivers used by both the experiment binaries and the
-//! Criterion benches, so measured numbers and printed tables come from
-//! the same code paths.
+//! Workload drivers: the hold, sparse-source and job-mapping models the
+//! E2/E3/E12 binaries print their tables from, and the two `lsds-net`
+//! workloads (flow sharing, sliding-window scale) whose cross-variant
+//! identity — share mode, event-list structure, event storage, advance
+//! mechanism, observers on or off — the tests below pin.
 
 use lsds_core::process::{Action, MappingScheme, ProcessEngine};
 use lsds_core::{
@@ -40,11 +42,11 @@ pub fn hold_model(kind: QueueKind, size: usize, ops: u64, increment: &Dist, seed
 /// A sparse-event model: `n_sources` periodic sources with period
 /// `period`, simulated to `horizon`. Used by E3 to compare advance
 /// mechanisms at varying event density.
-pub struct SparseModel {
+struct SparseModel {
     /// Sources re-arm themselves with this period.
-    pub period: f64,
+    period: f64,
     /// Events handled.
-    pub handled: u64,
+    handled: u64,
 }
 
 impl Model for SparseModel {
@@ -112,48 +114,6 @@ pub fn mapping_workload(
     (cs.allocations, cs.reuses, cs.peak_live, wall)
 }
 
-/// A queue-churn model that keeps an event list at a controlled size
-/// while running on a real engine (used by Criterion's E2 macro bench).
-pub struct ChurnModel {
-    /// Inter-event increment distribution.
-    pub increment: Dist,
-    /// RNG.
-    pub rng: SimRng,
-    /// Stop after this many events.
-    pub limit: u64,
-    /// Events handled.
-    pub handled: u64,
-}
-
-impl Model for ChurnModel {
-    type Event = ();
-    fn handle(&mut self, _: (), ctx: &mut Ctx<'_, ()>) {
-        self.handled += 1;
-        if self.handled >= self.limit {
-            ctx.stop();
-            return;
-        }
-        let dt = self.increment.sample(&mut self.rng).abs();
-        ctx.schedule_in(dt, ());
-    }
-}
-
-/// Runs `events` churn events over a queue of `size` pending events.
-pub fn churn_run(kind: QueueKind, size: usize, events: u64, seed: u64) -> u64 {
-    let model = ChurnModel {
-        increment: Dist::Exponential { rate: 1.0 },
-        rng: SimRng::new(seed),
-        limit: events,
-        handled: 0,
-    };
-    let mut sim = EventDriven::with_queue(model, kind.build::<()>());
-    for _ in 0..size {
-        sim.schedule(SimTime::ZERO, ());
-    }
-    sim.run();
-    sim.model().handled
-}
-
 /// Outcome of one [`run_flow_sharing`] run: the completion fingerprint
 /// (for bit-identity checks between share modes) plus the scope counters
 /// that quantify how much work each reshare strategy did.
@@ -164,14 +124,10 @@ pub struct FlowSharingResult {
     pub aborted: u64,
     /// Fair-share recomputations performed.
     pub reshare_count: u64,
-    /// Cumulative links visited across reshares.
-    pub links_touched: u64,
     /// Cumulative flows visited across reshares.
     pub flows_touched: u64,
     /// Pairwise route-cache hits.
     pub route_cache_hits: u64,
-    /// Pairwise route-cache misses.
-    pub route_cache_misses: u64,
 }
 
 /// `(arrival, src, dst, bytes)` per planned transfer.
@@ -225,15 +181,14 @@ impl Model for FlowModel {
     }
 }
 
-/// The flow-sharing workload behind `benches/flow_sharing.rs` and
-/// `exp_flownet` (→ `BENCH_flownet.json`): `n_flows` bulk transfers over
+/// The flow-sharing workload: `n_flows` bulk transfers over
 /// `pairs` disjoint duplex host pairs, arrivals staggered so the target
 /// concurrency is actually reached, sizes drawn so completions keep
 /// triggering reshares throughout. With `faults`, seeded Poisson outages
 /// knock links down and back up mid-run. Returns the completion
-/// fingerprint and scope counters, so callers can both time the run and
-/// verify that [`ShareMode::Full`] and [`ShareMode::Incremental`]
-/// trajectories are bit-identical.
+/// fingerprint and scope counters, so callers can verify that
+/// [`ShareMode::Full`] and [`ShareMode::Incremental`] trajectories are
+/// bit-identical.
 ///
 /// Disjoint pairs are the favourable case for the incremental engine
 /// (many small components); see [`run_flow_sharing_dumbbell`] for the
@@ -250,9 +205,7 @@ pub fn run_flow_sharing(
 }
 
 /// [`run_flow_sharing`] with causal tracing enabled: same workload, same
-/// trajectory (the tracer only observes), plus the span trace. The
-/// `trace_overhead` bench and `exp_trace` compare its wall time against
-/// the untraced run to price the instrumentation.
+/// trajectory (the tracer only observes), plus the span trace.
 pub fn run_flow_sharing_traced(
     pairs: usize,
     n_flows: usize,
@@ -304,9 +257,8 @@ fn flow_sharing_setup(
 /// Adversarial counterpart of [`run_flow_sharing`]: a dumbbell where
 /// every transfer crosses the one shared middle link, so the link↔flow
 /// graph is a single connected component and the incremental engine
-/// cannot shrink the scope. `exp_flownet` reports this case alongside
-/// the favourable one so the baseline states where the optimization does
-/// *not* help.
+/// cannot shrink the scope — the case where the optimization does *not*
+/// help.
 pub fn run_flow_sharing_dumbbell(
     hosts: usize,
     n_flows: usize,
@@ -372,35 +324,27 @@ fn run_flow_model_with<T: Tracer>(
     sim.run();
     let (m, tracer) = sim.into_model_and_tracer();
     assert_eq!(m.net.in_flight(), 0, "flow-sharing workload must drain");
-    let (route_cache_hits, route_cache_misses) = m.net.route_cache_stats();
+    let (route_cache_hits, _misses) = m.net.route_cache_stats();
     (
         FlowSharingResult {
             completions: m.completions,
             aborted: m.net.aborted(),
             reshare_count: m.net.reshare_count(),
-            links_touched: m.net.links_touched(),
             flows_touched: m.net.flows_touched(),
             route_cache_hits,
-            route_cache_misses,
         },
         tracer,
     )
 }
 
 /// Outcome of one [`run_net_scale`] run: enough to check cross-variant
-/// agreement (fingerprint) and to compute throughput (events / wall).
+/// agreement.
 pub struct ScaleResult {
     /// Transfers completed (must equal `pairs * per_pair`).
     pub completions: u64,
     /// Order-sensitive rolling hash over `(tag, finished-time bits)` —
     /// identical across queue structures on the same engine.
     pub fingerprint: u64,
-    /// Events the engine delivered.
-    pub events: u64,
-    /// Wall-clock seconds for the run (excluding topology setup).
-    pub wall: f64,
-    /// Modeled entities: nodes + links in the topology.
-    pub entities: usize,
 }
 
 /// Sliding-window transfer generator over disjoint duplex host pairs.
@@ -495,7 +439,7 @@ impl Model for ScaleModel {
     }
 }
 
-fn scale_model(pairs: usize, per_pair: u32, window: usize, seed: u64) -> (ScaleModel, usize) {
+fn scale_model(pairs: usize, per_pair: u32, window: usize, seed: u64) -> ScaleModel {
     let mut topo = Topology::new();
     let mut endpoints = Vec::with_capacity(pairs);
     for p in 0..pairs {
@@ -504,33 +448,26 @@ fn scale_model(pairs: usize, per_pair: u32, window: usize, seed: u64) -> (ScaleM
         topo.add_duplex(a, b, mbps(100.0), 0.001);
         endpoints.push((a, b));
     }
-    let entities = topo.node_count() + topo.link_count();
     let mut net = FlowNet::new(topo);
     net.set_share_mode(ShareMode::Incremental);
     let window = window.min(pairs);
-    (
-        ScaleModel {
-            net,
-            endpoints,
-            remaining: vec![per_pair; pairs],
-            next_pair: window,
-            rng: SimRng::new(seed),
-            completions: 0,
-            fingerprint: 0,
-            done: Vec::new(),
-        },
-        entities,
-    )
+    ScaleModel {
+        net,
+        endpoints,
+        remaining: vec![per_pair; pairs],
+        next_pair: window,
+        rng: SimRng::new(seed),
+        completions: 0,
+        fingerprint: 0,
+        done: Vec::new(),
+    }
 }
 
-fn scale_result(m: &ScaleModel, events: u64, wall: f64, entities: usize) -> ScaleResult {
+fn scale_result(m: &ScaleModel) -> ScaleResult {
     assert_eq!(m.net.in_flight(), 0, "scale workload must drain");
     ScaleResult {
         completions: m.completions,
         fingerprint: m.fingerprint,
-        events,
-        wall,
-        entities,
     }
 }
 
@@ -544,16 +481,14 @@ pub fn run_net_scale(
     queue: impl EventQueue<ScaleEv>,
     seed: u64,
 ) -> ScaleResult {
-    let (model, entities) = scale_model(pairs, per_pair, window, seed);
+    let model = scale_model(pairs, per_pair, window, seed);
     let n_endpoints = model.endpoints.len().min(window.max(1));
     let mut sim = EventDriven::with_queue(model, queue);
     for p in 0..n_endpoints {
         sim.schedule(SimTime::new(p as f64 * 1.0e-3), ScaleEv::Kick(p as u32));
     }
-    let start = Instant::now();
-    let stats = sim.run();
-    let wall = start.elapsed().as_secs_f64();
-    scale_result(sim.model(), stats.events, wall, entities)
+    sim.run();
+    scale_result(sim.model())
 }
 
 /// [`run_net_scale`] on the time-driven engine with step `dt` (event
@@ -566,22 +501,20 @@ pub fn run_net_scale_time_driven(
     dt: f64,
     seed: u64,
 ) -> ScaleResult {
-    let (model, entities) = scale_model(pairs, per_pair, window, seed);
+    let model = scale_model(pairs, per_pair, window, seed);
     let n_endpoints = model.endpoints.len().min(window.max(1));
     let total = pairs as u64 * per_pair as u64;
     let mut sim = TimeDriven::new(model, dt);
     for p in 0..n_endpoints {
         sim.schedule(SimTime::new(p as f64 * 1.0e-3), ScaleEv::Kick(p as u32));
     }
-    let start = Instant::now();
     while sim.model().completions < total && sim.tick() {
         assert!(
             sim.pending() > 0 || sim.model().completions >= total,
             "time-driven scale run wedged with no pending events"
         );
     }
-    let wall = start.elapsed().as_secs_f64();
-    scale_result(sim.model(), sim.processed(), wall, entities)
+    scale_result(sim.model())
 }
 
 /// [`run_net_scale`] with the metrics recorder attached: exercises the
@@ -596,19 +529,18 @@ pub fn run_net_scale_monitored(
     queue: impl EventQueue<ScaleEv>,
     seed: u64,
 ) -> ScaleResult {
-    let (model, entities) = scale_model(pairs, per_pair, window, seed);
+    let model = scale_model(pairs, per_pair, window, seed);
     let n_endpoints = model.endpoints.len().min(window.max(1));
     let mut sim = EventDriven::with_parts(model, queue, lsds_obs::MetricsRecorder::new());
     for p in 0..n_endpoints {
         sim.schedule(SimTime::new(p as f64 * 1.0e-3), ScaleEv::Kick(p as u32));
     }
-    let start = Instant::now();
-    let stats = sim.run();
-    let wall = start.elapsed().as_secs_f64();
-    scale_result(sim.model(), stats.events, wall, entities)
+    sim.run();
+    scale_result(sim.model())
 }
 
-/// [`run_net_scale`] with causal tracing, for per-handler-kind profiles.
+/// [`run_net_scale`] with causal tracing; the trajectory must match the
+/// untraced run.
 pub fn run_net_scale_traced(
     pairs: usize,
     per_pair: u32,
@@ -617,16 +549,14 @@ pub fn run_net_scale_traced(
     seed: u64,
     cfg: TraceConfig,
 ) -> (ScaleResult, SpanTrace) {
-    let (model, entities) = scale_model(pairs, per_pair, window, seed);
+    let model = scale_model(pairs, per_pair, window, seed);
     let n_endpoints = model.endpoints.len().min(window.max(1));
     let mut sim = EventDriven::with_queue(model, queue).with_tracer(RingTracer::new(cfg));
     for p in 0..n_endpoints {
         sim.schedule(SimTime::new(p as f64 * 1.0e-3), ScaleEv::Kick(p as u32));
     }
-    let start = Instant::now();
-    let stats = sim.run();
-    let wall = start.elapsed().as_secs_f64();
-    let result = scale_result(sim.model(), stats.events, wall, entities);
+    sim.run();
+    let result = scale_result(sim.model());
     let (_, tracer) = sim.into_model_and_tracer();
     (result, tracer.finish())
 }
@@ -667,16 +597,13 @@ mod tests {
     }
 
     #[test]
-    fn churn_counts_events() {
-        assert_eq!(churn_run(QueueKind::Calendar, 64, 5_000, 3), 5_000);
-    }
-
-    #[test]
     fn scale_trajectory_identity_across_storage_and_instrumentation() {
         // one scenario, every storage/instrumentation combination: the
         // trajectory fingerprint must be identical for plain vs pooled
         // event storage (all four structures), traced vs untraced, and
-        // monitored vs unmonitored delivery
+        // monitored vs unmonitored delivery; the time-driven engine
+        // quantizes delivery to tick boundaries, so its timestamps differ
+        // but every transfer must still complete
         let (pairs, per_pair, window, seed) = (48, 6, 16, 9);
         let base = run_net_scale(pairs, per_pair, window, QueueKind::BinaryHeap.build(), seed);
         assert_eq!(base.completions, pairs as u64 * per_pair as u64);
@@ -716,6 +643,11 @@ mod tests {
             mon.fingerprint, base.fingerprint,
             "monitoring changed the trajectory"
         );
+        let td = run_net_scale_time_driven(pairs, per_pair, window, 0.25, seed);
+        assert_eq!(
+            td.completions, base.completions,
+            "time-driven advance lost transfers"
+        );
     }
 
     #[test]
@@ -734,6 +666,41 @@ mod tests {
         let inc = run_flow_sharing(8, 64, ShareMode::Incremental, true, 7);
         assert_eq!(full.completions, inc.completions);
         assert_eq!(full.aborted, inc.aborted);
+    }
+
+    #[test]
+    fn flow_sharing_tracing_is_invisible() {
+        let (pairs, n, seed) = (6, 100, 0x7ACE);
+        let mode = ShareMode::Incremental;
+        let plain = run_flow_sharing(pairs, n, mode, false, seed);
+        let (full, trace) =
+            run_flow_sharing_traced(pairs, n, mode, false, seed, TraceConfig::default());
+        let sampling = TraceConfig::default().sampled(16);
+        let (sampled, thinned) = run_flow_sharing_traced(pairs, n, mode, false, seed, sampling);
+        for (variant, traced) in [("full", &full), ("1-in-16", &sampled)] {
+            assert_eq!(
+                plain.completions, traced.completions,
+                "{variant} tracing changed the trajectory"
+            );
+            assert_eq!(plain.reshare_count, traced.reshare_count, "{variant}");
+        }
+        assert!(
+            thinned.len() < trace.len(),
+            "sampling must record fewer spans"
+        );
+    }
+
+    /// Export → re-parse: every recorded span becomes one viewer slice.
+    #[test]
+    fn flow_sharing_trace_exports_one_slice_per_span() {
+        let cfg = TraceConfig::default();
+        let (_, trace) = run_flow_sharing_traced(6, 100, ShareMode::Incremental, false, 9, cfg);
+        let mut doc = Vec::new();
+        lsds_trace::write_chrome_trace(&trace, &mut doc).expect("render chrome trace");
+        let text = String::from_utf8(doc).expect("chrome trace is UTF-8");
+        let slices = lsds_trace::validate_chrome_trace(&text).expect("chrome trace must validate");
+        assert!(slices > 0, "full trace recorded no spans");
+        assert_eq!(slices, trace.len(), "exported slice count");
     }
 
     #[test]

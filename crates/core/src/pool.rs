@@ -260,6 +260,24 @@ mod tests {
         );
     }
 
+    /// `build_pooled` hands the pool out behind `Box<dyn EventQueue>`; the
+    /// box must forward `occupancy`, or telemetry sees no pool behind it.
+    #[test]
+    fn boxed_pooled_queue_reports_the_pools_occupancy() {
+        let mut concrete = PooledQueue::new(BinaryHeapQueue::<u32>::new());
+        let mut boxed = QueueKind::BinaryHeap.build_pooled::<u64>();
+        for s in 0..10u64 {
+            concrete.insert(ScheduledEvent::new(SimTime::new(s as f64), s, s));
+            boxed.insert(ScheduledEvent::new(SimTime::new(s as f64), s, s));
+        }
+        for _ in 0..4 {
+            concrete.pop_min().unwrap();
+            boxed.pop_min().unwrap();
+        }
+        assert_eq!(concrete.occupancy(), Some((6, 10)));
+        assert_eq!(boxed.occupancy(), concrete.occupancy());
+    }
+
     /// Drives a pooled queue and its unpooled twin through one randomized
     /// tie-heavy hold-model script, mixing all three pop flavors
     /// (`pop_min`, `pop_run`, `pop_next`), and asserts the delivered

@@ -171,6 +171,9 @@ impl<E> EventQueue<E> for Box<dyn EventQueue<E>> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
+    fn occupancy(&self) -> Option<(usize, usize)> {
+        (**self).occupancy()
+    }
 }
 
 #[cfg(test)]

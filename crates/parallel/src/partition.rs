@@ -222,6 +222,28 @@ mod tests {
     }
 
     #[test]
+    fn profiled_never_loses_to_count_based_partitions() {
+        let (n_entities, n_lps) = (128, 8);
+        // one entity carrying exactly one LP's fair share of the total
+        let mut hot = vec![1.0; n_entities];
+        hot[0] = (n_entities as f64 - 1.0) / (n_lps as f64 - 1.0);
+        let zipf: Vec<f64> = (0..n_entities).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+        for (shape, costs) in [("hot entity", &hot), ("zipf", &zipf)] {
+            let prof = imbalance(&profiled(costs, n_lps), costs, n_lps);
+            for (rival, assignment) in [
+                ("block", block_partition(n_entities, n_lps)),
+                ("round-robin", round_robin_partition(n_entities, n_lps)),
+            ] {
+                let theirs = imbalance(&assignment, costs, n_lps);
+                assert!(
+                    prof <= theirs + 1e-9,
+                    "{shape}: profiled {prof} lost to {rival} {theirs}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn profiled_is_deterministic_under_ties() {
         let costs = vec![1.0; 12];
         let a = profiled(&costs, 3);

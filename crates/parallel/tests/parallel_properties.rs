@@ -134,26 +134,9 @@ fn engines_agree_at_exact_horizon_boundary() {
         let n = 2 + rng.next_below(3) as usize;
         let delay = rng.range_f64(0.2, 2.0);
         let periods = 5 + rng.next_below(45) as u32;
-        let t_end = SimTime::new(delay * periods as f64);
-        let seq = run_sequential(ring(n, delay), &ring_edges(n), t_end);
-        let cmb = run_cmb(ring(n, delay), &ring_edges(n), t_end);
-        let ts = run_timestep(ring(n, delay), delay, t_end);
-        let tw = run_timewarp(ring(n, delay), &ring_edges(n), t_end);
-        let ws = run_worksteal(ring(n, delay), &ring_edges(n), t_end);
-        let cs: Vec<u64> = seq.lps.iter().map(|l| l.seen).collect();
-        let cc: Vec<u64> = cmb.lps.iter().map(|l| l.seen).collect();
-        let ct: Vec<u64> = ts.lps.iter().map(|l| l.seen).collect();
-        let cw: Vec<u64> = tw.lps.iter().map(|l| l.seen).collect();
-        let cx: Vec<u64> = ws.lps.iter().map(|l| l.seen).collect();
-        assert_eq!(cs, cc, "cmb diverged: n={n} delay={delay} p={periods}");
-        assert_eq!(cs, ct, "timestep diverged: n={n} delay={delay} p={periods}");
-        assert_eq!(cs, cw, "timewarp diverged: n={n} delay={delay} p={periods}");
-        assert_eq!(
-            cs, cx,
-            "worksteal diverged: n={n} delay={delay} p={periods}"
-        );
-        assert_eq!(seq.total_events(), tw.total_events());
-        assert_eq!(seq.total_events(), ws.total_events());
+        let case = format!("n={n} delay={delay} p={periods}");
+        let t_end = delay * periods as f64;
+        assert_every_engine_matches_sequential(&case, || ring(n, delay), delay, t_end, |l| l.seen);
     }
 }
 
@@ -193,6 +176,207 @@ where
         row!("timewarp", run_timewarp(mk(), edges, t_end)),
         row!("worksteal", run_worksteal(mk(), edges, t_end)),
     ]
+}
+
+/// Runs `mk()` under every engine and holds each to the sequential
+/// oracle: same delivered-event count, same final state of every LP.
+fn assert_every_engine_matches_sequential<L, S>(
+    case: &str,
+    mk: impl Fn() -> Vec<L>,
+    delta: f64,
+    t_end: f64,
+    state: impl Fn(&L) -> S,
+) where
+    L: SaveState + InitialEvents,
+    L::Msg: Clone,
+    S: PartialEq + std::fmt::Debug,
+{
+    let edges = ring_edges(mk().len());
+    let mut rows = run_every_engine(mk, &edges, delta, SimTime::new(t_end))
+        .into_iter()
+        .map(|(engine, outcome)| {
+            let (events, lps) =
+                outcome.unwrap_or_else(|m| panic!("{case}: {engine} panicked: {m}"));
+            (engine, events, lps.iter().map(&state).collect::<Vec<S>>())
+        });
+    let (_, oracle_events, oracle_state) = rows.next().expect("sequential row");
+    for (engine, events, final_state) in rows {
+        assert_eq!(events, oracle_events, "{case}: {engine} event count");
+        assert_eq!(final_state, oracle_state, "{case}: {engine} final state");
+    }
+}
+
+/// Event alphabet of the two synchronization-cost shapes below.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Locally scheduled work (self-clocking chain).
+    Internal,
+    /// Cross-LP notification: folds into state, schedules nothing.
+    Cross(u64),
+}
+
+const E4_PERIOD: f64 = 0.1;
+const E4_CROSS_EVERY: u64 = 5;
+
+/// The E4 ring (`exp_parallel`'s workload): a dense internal chain per LP
+/// plus cross traffic at `delay == lookahead`, so shrinking the lookahead
+/// multiplies the synchronization work while the event set stays fixed.
+#[derive(Clone)]
+struct E4Lp {
+    n: usize,
+    la: f64,
+    horizon: f64,
+    counter: u64,
+    sink: u64,
+}
+
+impl LogicalProcess for E4Lp {
+    type Msg = Ev;
+    fn handle(&mut self, now: SimTime, ev: Ev, ctx: &mut LpCtx<'_, Ev>) {
+        self.counter += 1;
+        let v = match ev {
+            Ev::Internal => self.counter,
+            Ev::Cross(x) => x,
+        };
+        self.sink = (self.sink ^ v ^ now.seconds().to_bits())
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(17);
+        if let Ev::Internal = ev {
+            if now.seconds() + E4_PERIOD <= self.horizon {
+                ctx.schedule_in(E4_PERIOD, Ev::Internal);
+            }
+            if self.counter.is_multiple_of(E4_CROSS_EVERY)
+                && now.seconds() + self.la <= self.horizon
+            {
+                ctx.send((ctx.me() + 1) % self.n, self.la, Ev::Cross(self.sink));
+            }
+        }
+    }
+    fn lookahead(&self) -> f64 {
+        self.la
+    }
+}
+
+impl InitialEvents for E4Lp {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, Ev>) {
+        ctx.schedule_in(0.0, Ev::Internal);
+    }
+}
+
+impl SaveState for E4Lp {
+    type Saved = (u64, u64);
+    fn save(&self) -> (u64, u64) {
+        (self.counter, self.sink)
+    }
+    fn restore(&mut self, saved: (u64, u64)) {
+        (self.counter, self.sink) = saved;
+    }
+}
+
+/// From comfortable lookahead down to 1/20 of the internal period, where
+/// CMB needs twenty null rounds per event and Time Warp speculates across
+/// many pending cross messages.
+#[test]
+fn engines_agree_on_e4_ring_across_lookahead_sweep() {
+    let (n, horizon) = (4, 20.0);
+    for la in [0.5, 0.1, 0.02, 0.005] {
+        let mk = || {
+            vec![
+                E4Lp {
+                    n,
+                    la,
+                    horizon,
+                    counter: 0,
+                    sink: 0,
+                };
+                n
+            ]
+        };
+        let case = format!("e4 la={la}");
+        assert_every_engine_matches_sequential(&case, mk, la, horizon, |l| (l.counter, l.sink));
+    }
+}
+
+const SCALE_CROSS_EVERY: u64 = 32;
+const SCALE_LA: f64 = 1.0;
+
+/// The scale shape: each LP burns a fixed budget of jitter-spaced job
+/// completions (`0.5 + u` apart, `u ∈ [0, 1)`, from a per-LP stream that
+/// is part of the rolled-back state) with a cross notification every 32.
+#[derive(Clone)]
+struct ScaleLp {
+    n: usize,
+    jobs_left: u64,
+    rng: u64,
+    done: u64,
+    acc: u64,
+}
+
+impl LogicalProcess for ScaleLp {
+    type Msg = Ev;
+    fn handle(&mut self, now: SimTime, ev: Ev, ctx: &mut LpCtx<'_, Ev>) {
+        self.done += 1;
+        let v = match ev {
+            Ev::Internal => self.done,
+            Ev::Cross(x) => x,
+        };
+        self.acc = self
+            .acc
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(v ^ now.seconds().to_bits());
+        if let Ev::Internal = ev {
+            if self.jobs_left > 0 {
+                self.jobs_left -= 1;
+                self.rng = self
+                    .rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (self.rng >> 11) as f64 / (1u64 << 53) as f64;
+                ctx.schedule_in(0.5 + u, Ev::Internal);
+            }
+            if self.done.is_multiple_of(SCALE_CROSS_EVERY) {
+                ctx.send((ctx.me() + 1) % self.n, SCALE_LA, Ev::Cross(self.acc));
+            }
+        }
+    }
+    fn lookahead(&self) -> f64 {
+        SCALE_LA
+    }
+}
+
+impl InitialEvents for ScaleLp {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, Ev>) {
+        ctx.schedule_in(0.0, Ev::Internal);
+    }
+}
+
+impl SaveState for ScaleLp {
+    type Saved = (u64, u64, u64, u64);
+    fn save(&self) -> (u64, u64, u64, u64) {
+        (self.jobs_left, self.rng, self.done, self.acc)
+    }
+    fn restore(&mut self, saved: (u64, u64, u64, u64)) {
+        (self.jobs_left, self.rng, self.done, self.acc) = saved;
+    }
+}
+
+#[test]
+fn engines_agree_on_scale_shape() {
+    let (n, jobs_per_lp) = (4, 500u64);
+    let mk = || {
+        (0..n)
+            .map(|i| ScaleLp {
+                n,
+                jobs_left: jobs_per_lp,
+                rng: 0x5CA1E ^ (i as u64).wrapping_mul(0x9E37_79B9),
+                done: 0,
+                acc: 0,
+            })
+            .collect::<Vec<_>>()
+    };
+    // past the last completion (gaps are < 1.5) and its cross send
+    let t_end = jobs_per_lp as f64 * 1.5 + SCALE_LA;
+    assert_every_engine_matches_sequential("scale", mk, SCALE_LA, t_end, |l| (l.done, l.acc));
 }
 
 /// Sends to the next LP although no edge is declared at all. Every LP

@@ -7,7 +7,7 @@
 //! guarantee that makes the Perfetto counter tracks renderable.
 
 use lsds_core::SimTime;
-use lsds_obs::{TelemetryConfig, TelemetryReport};
+use lsds_obs::{SpanTrace, TelemetryConfig, TelemetryReport};
 use lsds_parallel::cmb::InitialEvents;
 use lsds_parallel::timewarp::SaveState;
 use lsds_parallel::{
@@ -15,6 +15,7 @@ use lsds_parallel::{
     run_timestep_telemetry, run_timewarp_cfg, run_timewarp_telemetry, run_worksteal_cfg,
     run_worksteal_telemetry, LogicalProcess, LpCtx, TwConfig, WsConfig,
 };
+use lsds_trace::{validate_chrome_trace_full, write_chrome_trace_with_counters};
 
 const REMOTE: u64 = 1 << 63;
 
@@ -115,6 +116,14 @@ fn assert_series_monotone(tel: &TelemetryReport) {
 const N: usize = 6;
 const UNTIL: f64 = 30.0;
 
+/// More workers than this host may have cores, small batches and frequent
+/// migration epochs: every scheduler counter moves.
+const WS: WsConfig = WsConfig {
+    workers: 3,
+    batch: 8,
+    migration_epoch: Some(64),
+};
+
 #[test]
 fn sequential_bit_identical_with_telemetry() {
     let (lps, edges) = workload(N, UNTIL);
@@ -188,15 +197,10 @@ fn timewarp_bit_identical_with_telemetry_and_anti_invariant() {
 
 #[test]
 fn worksteal_bit_identical_with_telemetry_and_steal_invariant() {
-    let cfg = WsConfig {
-        workers: 3,
-        batch: 8,
-        migration_epoch: Some(64),
-    };
     let (lps, edges) = workload(N, UNTIL);
-    let plain = run_worksteal_cfg(lps, &edges, SimTime::new(UNTIL), cfg);
+    let plain = run_worksteal_cfg(lps, &edges, SimTime::new(UNTIL), WS);
     let (lps, edges) = workload(N, UNTIL);
-    let (report, tel) = run_worksteal_telemetry(lps, &edges, SimTime::new(UNTIL), cfg, tcfg());
+    let (report, tel) = run_worksteal_telemetry(lps, &edges, SimTime::new(UNTIL), WS, tcfg());
     assert_eq!(state_of(&report.lps), state_of(&plain.lps));
     assert_eq!(tel.events(), report.total_events());
     // A steal hands an activation to a thief, so steals can never
@@ -214,6 +218,21 @@ fn worksteal_bit_identical_with_telemetry_and_steal_invariant() {
         report.stats.iter().map(|s| s.activations).sum::<u64>()
     );
     assert_series_monotone(&tel);
+}
+
+/// A real scheduler's series, exported as Perfetto counter tracks, come
+/// back through the parser as counter samples.
+#[test]
+fn worksteal_counter_tracks_export_and_validate() {
+    let (lps, edges) = workload(N, UNTIL);
+    let (_, tel) = run_worksteal_telemetry(lps, &edges, SimTime::new(UNTIL), WS, tcfg());
+    let mut doc = Vec::new();
+    write_chrome_trace_with_counters(&SpanTrace::new(), &tel.counter_tracks(), &mut doc)
+        .expect("render counter tracks");
+    let text = String::from_utf8(doc).expect("chrome trace is UTF-8");
+    let (slices, samples) = validate_chrome_trace_full(&text).expect("trace must validate");
+    assert_eq!(slices, 0, "no spans were recorded");
+    assert!(samples > 0, "counter tracks must carry samples");
 }
 
 /// The sixth engine: the centralized core executor, telemetry attached

@@ -10,7 +10,7 @@
 
 use lsds_core::SimTime;
 use lsds_parallel::cmb::InitialEvents;
-use lsds_parallel::{run_sequential, run_worksteal_cfg, LogicalProcess, LpCtx, WsConfig};
+use lsds_parallel::{profiled, run_sequential, run_worksteal_cfg, LogicalProcess, LpCtx, WsConfig};
 use lsds_stats::SimRng;
 
 /// Marks a message as a pure cross-LP sink (mutates state, schedules
@@ -84,6 +84,22 @@ fn skewed(n: usize, until: f64, rng: &mut SimRng) -> Vec<SkewLp> {
             events: 0,
             local_dt: if i == 0 { 0.01 } else { 0.5 },
             work: if i == 0 { 1000 } else { 10 },
+            until,
+            la: 0.2,
+        })
+        .collect()
+}
+
+/// Uniform event rate, per-event cost decaying as `1/(i+1)`: many light
+/// LPs and a few heavy ones, the usual mix of a partitioned model.
+fn zipf(n: usize, until: f64) -> Vec<SkewLp> {
+    (0..n)
+        .map(|i| SkewLp {
+            n,
+            acc: 0x51F0 + i as u64,
+            events: 0,
+            local_dt: 0.05,
+            work: 2_000 / (i as u32 + 1),
             until,
             la: 0.2,
         })
@@ -187,6 +203,44 @@ fn forced_migration_mid_run_preserves_bit_identity() {
         total_epochs > 0,
         "migration epochs never fired — test lost its teeth"
     );
+}
+
+/// The placement the epoch rebalancer learns online from its own cost
+/// record must be as balanced as the one `partition::profiled` builds from
+/// the same observed costs — no prior profiling run needed. Costs are
+/// wall-measured, so the comparison is within each run, with slack for
+/// tie-breaks between the two greedy passes.
+#[test]
+fn online_placement_matches_profiled_on_observed_costs() {
+    let (n, until) = (8, 8.0);
+    let hotspot = skewed(n, until, &mut SimRng::new(0x0B5E));
+    for (shape, proto) in [("hotspot", hotspot), ("zipf", zipf(n, until))] {
+        for workers in [2usize, 4] {
+            let ws = run_worksteal_cfg(
+                proto.clone(),
+                &ring_edges(n),
+                SimTime::new(until),
+                WsConfig {
+                    workers,
+                    batch: 64,
+                    migration_epoch: Some(100),
+                },
+            );
+            assert!(ws.sched.epochs > 0, "{shape} w={workers}: no epoch fired");
+            let costs: Vec<f64> = ws.cost_ns.iter().map(|&c| c as f64).collect();
+            let mut load = vec![0.0f64; workers];
+            for (lp, &home) in profiled(&costs, workers).iter().enumerate() {
+                load[home] += costs[lp];
+            }
+            let mean = load.iter().sum::<f64>() / workers as f64;
+            let offline = load.iter().fold(0.0f64, |a, &b| a.max(b)) / mean;
+            let online = ws.observed_imbalance();
+            assert!(
+                online <= offline * 1.15 + 1e-6,
+                "{shape} w={workers}: online imbalance {online:.3} lost to profiled {offline:.3}"
+            );
+        }
+    }
 }
 
 /// Steal order is scheduling noise: repeated runs with maximal

@@ -3,16 +3,25 @@
 //! showing the null-message overhead the paper attributes to
 //! conservative synchronization — then under the optimistic Time Warp
 //! engine, which replaces blocking with speculation + rollback and does
-//! not care how small the lookahead is.
+//! not care how small the lookahead is. Last, the work-stealing engine
+//! with scheduler telemetry on: `--progress` prints the live stderr
+//! progress line, and the per-worker counters (steals, parks, deque
+//! depths) are written to `parallel_engines.trace.json` as Perfetto
+//! counter tracks.
 //!
 //! ```sh
-//! cargo run --release --example parallel_engines
+//! cargo run --release --example parallel_engines [-- --progress]
 //! ```
 
 use lsds::core::SimTime;
+use lsds::obs::{ProgressReporter, SpanTrace, TelemetryConfig};
 use lsds::parallel::cmb::InitialEvents;
-use lsds::parallel::{run_cmb, run_timestep, run_timewarp, LogicalProcess, LpCtx, SaveState};
-use lsds::trace::TextTable;
+use lsds::parallel::{
+    run_cmb, run_timestep, run_timewarp, run_worksteal_telemetry, LogicalProcess, LpCtx, SaveState,
+    WsConfig,
+};
+use lsds::trace::{write_chrome_trace_with_counters, TextTable};
+use std::sync::Arc;
 
 /// A site LP: processes local work and forwards results around a ring.
 #[derive(Clone)]
@@ -117,6 +126,38 @@ fn main() {
         tw.total_rollbacks(),
         tw.total_antis(),
         tw.efficiency()
+    );
+
+    // The same conservative synchronization on a worker pool, watched
+    // while it runs: the reporter only reads progress, the telemetry
+    // sinks only count, so the results are those of the plain run.
+    let mut tcfg = TelemetryConfig::new().every_events(64);
+    let reporter = std::env::args()
+        .any(|a| a == "--progress")
+        .then(|| Arc::new(ProgressReporter::new(t_end.seconds())));
+    if let Some(rep) = &reporter {
+        tcfg = tcfg.with_progress(Arc::clone(rep));
+    }
+    let cfg = WsConfig {
+        workers: 2,
+        ..WsConfig::default()
+    };
+    let (ws, tel) = run_worksteal_telemetry(lps(n, 1.0), &edges(n), t_end, cfg, tcfg);
+    // a run shorter than the reporter's wall interval prints only this
+    if let Some(rep) = &reporter {
+        rep.finish();
+    }
+    let tracks = tel.counter_tracks();
+    let out = std::fs::File::create("parallel_engines.trace.json").expect("create trace file");
+    write_chrome_trace_with_counters(&SpanTrace::new(), &tracks, out).expect("write trace file");
+    println!(
+        "\nwork-stealing engine ({} workers): {} events, {} steals, {} parks; \
+         {} counter tracks written to parallel_engines.trace.json",
+        ws.sched.workers,
+        ws.total_events(),
+        tel.counter("ws.steals"),
+        tel.counter("ws.parks"),
+        tracks.len()
     );
     println!("same results, different synchronization cost — the E4 trade-off.");
 }
