@@ -6,8 +6,8 @@
 //! replication strategies of E7/E8 manipulate.
 
 use crate::replication::FileId;
-use lsds_core::{Schedule, SimTime};
-use std::collections::{HashMap, VecDeque};
+use lsds_core::{IdMap, Schedule, SimTime, Slab};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Metadata for a file resident on a storage element.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,12 +22,30 @@ pub struct FileMeta {
     pub pins: u32,
 }
 
+/// Maps `f64::total_cmp` order onto unsigned integer order (sign bit set
+/// for positives, all bits flipped for negatives), so eviction keys
+/// compare as plain integers.
+fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ ((((b as i64) >> 63) as u64) | (1 << 63))
+}
+
 /// A disk pool with finite capacity and replacement bookkeeping.
+///
+/// Resident files live in a [`Slab`]; a [`FileId`] resolves to its slot
+/// through an [`IdMap`] (the catalog issues ids densely from 0), so every
+/// lookup is one array index. The index costs 4 bytes × the highest
+/// `FileId` ever stored on this disk.
 #[derive(Debug, Clone)]
 pub struct StorageElement {
     capacity: f64,
     used: f64,
-    files: HashMap<u64, FileMeta>,
+    files: Slab<(u64, FileMeta)>,
+    index: IdMap,
+    /// `make_room`'s heap buffer of `(total_order_bits(key), id, slot)`,
+    /// kept between calls. Ids are unique, so the slot never decides the
+    /// order.
+    victims: Vec<(u64, u64, u32)>,
 }
 
 impl StorageElement {
@@ -37,8 +55,16 @@ impl StorageElement {
         StorageElement {
             capacity,
             used: 0.0,
-            files: HashMap::new(),
+            files: Slab::new(),
+            index: IdMap::new(),
+            victims: Vec::new(),
         }
+    }
+
+    /// Mutable metadata of a resident file.
+    fn get_mut(&mut self, file: FileId) -> Option<&mut FileMeta> {
+        let slot = self.index.get(file.0)?;
+        self.files.get_mut(slot).map(|(_, m)| m)
     }
 
     /// Total capacity in bytes.
@@ -58,7 +84,7 @@ impl StorageElement {
 
     /// Whether `file` is resident.
     pub fn has(&self, file: FileId) -> bool {
-        self.files.contains_key(&file.0)
+        self.index.get(file.0).is_some()
     }
 
     /// Number of resident files.
@@ -68,13 +94,14 @@ impl StorageElement {
 
     /// Metadata of a resident file.
     pub fn meta(&self, file: FileId) -> Option<&FileMeta> {
-        self.files.get(&file.0)
+        let slot = self.index.get(file.0)?;
+        self.files.get(slot).map(|(_, m)| m)
     }
 
     /// Records an access (updates LRU/LFU state). Returns false if the
     /// file is not resident.
     pub fn touch(&mut self, file: FileId, now: SimTime) -> bool {
-        match self.files.get_mut(&file.0) {
+        match self.get_mut(file) {
             Some(m) => {
                 m.last_access = now;
                 m.accesses += 1;
@@ -86,14 +113,14 @@ impl StorageElement {
 
     /// Pins a resident file against eviction.
     pub fn pin(&mut self, file: FileId) {
-        if let Some(m) = self.files.get_mut(&file.0) {
+        if let Some(m) = self.get_mut(file) {
             m.pins += 1;
         }
     }
 
     /// Releases one pin.
     pub fn unpin(&mut self, file: FileId) {
-        if let Some(m) = self.files.get_mut(&file.0) {
+        if let Some(m) = self.get_mut(file) {
             assert!(m.pins > 0, "unpin without pin");
             m.pins -= 1;
         }
@@ -111,7 +138,8 @@ impl StorageElement {
             self.used,
             self.capacity
         );
-        let prev = self.files.insert(
+        assert!(self.index.get(file.0).is_none(), "file already resident");
+        let slot = self.files.insert((
             file.0,
             FileMeta {
                 size,
@@ -119,36 +147,49 @@ impl StorageElement {
                 accesses: 1,
                 pins: 0,
             },
-        );
-        assert!(prev.is_none(), "file already resident");
+        ));
+        self.index.bind(file.0, slot);
         self.used += size;
     }
 
     /// Deletes a file (no-op if absent). Pinned files cannot be deleted.
     pub fn delete(&mut self, file: FileId) {
-        if let Some(m) = self.files.get(&file.0) {
+        if let Some(&m) = self.meta(file) {
             assert_eq!(m.pins, 0, "deleting pinned file");
             self.used -= m.size;
-            self.files.remove(&file.0);
+            self.remove(file.0);
         }
     }
 
+    /// Drops a resident file's slot and index entry (no byte accounting).
+    fn remove(&mut self, id: u64) {
+        let removed = self.index.unbind(id).and_then(|s| self.files.remove(s));
+        debug_assert!(removed.is_some(), "index and slab disagree on {id}");
+    }
+
     /// Unpinned resident files ordered by eviction preference under the
-    /// given comparator key: smaller key = evicted first.
+    /// given comparator key: smaller key = evicted first, ties by id.
     pub fn evict_candidates(&self, key: impl Fn(&FileMeta) -> f64) -> Vec<(FileId, f64)> {
-        let mut v: Vec<(FileId, f64)> = self
-            .files
-            .iter()
-            .filter(|(_, m)| m.pins == 0)
-            .map(|(&id, m)| (FileId(id), key(m)))
-            .collect();
+        let mut v: Vec<(FileId, f64)> = Vec::new();
+        self.files.for_each(|_, (id, m)| {
+            if m.pins == 0 {
+                v.push((FileId(*id), key(m)));
+            }
+        });
         v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0 .0.cmp(&b.0 .0)));
         v
     }
 
     /// Frees at least `needed` bytes by evicting unpinned files in order
-    /// of ascending `key`. Returns the evicted files, or `None` (state
-    /// unchanged) if even full eviction cannot make room.
+    /// of ascending `key`, ties by id. Returns the evicted files, or `None`
+    /// (state unchanged) if even full eviction cannot make room.
+    ///
+    /// One pass over the disk keeps, in a max-heap, only the cheapest
+    /// unpinned files whose sizes cover the deficit — no sort of the disk.
+    /// The kept files are then drawn cheapest first until the replayed
+    /// `used -= size` sequence leaves room, and only then deleted, so
+    /// `used` ends at exactly the bits that deleting the sorted candidates
+    /// one by one would leave.
     pub fn make_room(
         &mut self,
         needed: f64,
@@ -157,22 +198,61 @@ impl StorageElement {
         if self.free() >= needed {
             return Some(Vec::new());
         }
-        let candidates = self.evict_candidates(key);
-        let evictable: f64 = candidates
-            .iter()
-            .map(|(id, _)| self.files[&id.0].size)
-            .sum();
-        if self.free() + evictable < needed {
-            return None;
+        // `held` is the kept sizes' sum. A file costlier than every kept
+        // one is skipped once they cover the deficit, and the costliest
+        // kept file leaves once the others cover it. `cover` is the
+        // deficit plus a slack bounding the rounding of `held` and of the
+        // replay together (each a sum of at most 2n terms no larger than
+        // the disk), so kept files that cover here also cover in the
+        // replay: if the replay runs out, nothing was skipped or dropped,
+        // and no eviction fits.
+        let cover = needed - self.free()
+            + (4 * self.files.len() + 16) as f64 * f64::EPSILON * self.capacity.max(self.used);
+        let files = &self.files;
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        let mut heap = BinaryHeap::from(victims);
+        let mut held = 0.0;
+        files.for_each(|slot, (id, m)| {
+            if m.pins > 0 {
+                return;
+            }
+            let v = (total_order_bits(key(m)), *id, slot);
+            if held >= cover && heap.peek().is_some_and(|top| v > *top) {
+                return;
+            }
+            heap.push(v);
+            held += m.size;
+            while let Some(&(_, _, top)) = heap.peek() {
+                let size = files[top].1.size;
+                if held - size >= cover {
+                    heap.pop();
+                    held -= size;
+                } else {
+                    break;
+                }
+            }
+        });
+        // popped costliest first, so the replay walks `kept` from its end
+        let mut kept = Vec::with_capacity(heap.len());
+        while let Some(v) = heap.pop() {
+            kept.push(v);
         }
+        self.victims = heap.into_vec();
+        let mut used = self.used;
         let mut evicted = Vec::new();
-        for (id, _) in candidates {
-            if self.free() >= needed {
+        loop {
+            if self.capacity - used >= needed {
                 break;
             }
-            self.delete(id);
-            evicted.push(id);
+            let (_, id, slot) = kept.pop()?;
+            used -= self.files[slot].1.size;
+            evicted.push(FileId(id));
         }
+        for id in &evicted {
+            self.remove(id.0);
+        }
+        self.used = used;
         Some(evicted)
     }
 }
@@ -387,6 +467,172 @@ mod tests {
         let mut d = StorageElement::new(100.0);
         d.store(FileId(1), 10.0, SimTime::ZERO);
         assert_eq!(d.make_room(50.0, |m| m.size).unwrap(), vec![]);
+    }
+
+    /// The sort-based `make_room` the heap selection replaced: sort every
+    /// unpinned file, check the total, delete in order until room is made.
+    fn make_room_by_sort(
+        d: &mut StorageElement,
+        needed: f64,
+        key: impl Fn(&FileMeta) -> f64,
+    ) -> Option<Vec<FileId>> {
+        if d.free() >= needed {
+            return Some(Vec::new());
+        }
+        let candidates = d.evict_candidates(key);
+        let evictable: f64 = candidates
+            .iter()
+            .map(|(id, _)| d.meta(*id).unwrap().size)
+            .sum();
+        if d.free() + evictable < needed {
+            return None;
+        }
+        let mut evicted = Vec::new();
+        for (id, _) in candidates {
+            if d.free() >= needed {
+                break;
+            }
+            d.delete(id);
+            evicted.push(id);
+        }
+        Some(evicted)
+    }
+
+    #[test]
+    fn total_order_bits_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.0e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    fn assert_same_disk(a: &StorageElement, b: &StorageElement, ids: u64, at: &str) {
+        assert_eq!(a.used().to_bits(), b.used().to_bits(), "{at}: used");
+        assert_eq!(a.file_count(), b.file_count(), "{at}: file count");
+        for f in 0..ids {
+            assert_eq!(a.meta(FileId(f)), b.meta(FileId(f)), "{at}: file {f}");
+        }
+    }
+
+    #[test]
+    fn make_room_matches_sort_based_reference() {
+        use lsds_stats::SimRng;
+        const IDS: u64 = 96;
+        let lru = |m: &FileMeta| m.last_access.seconds();
+        let lfu = |m: &FileMeta| m.accesses as f64;
+        // evictions seen with 0, 1 and many victims, and infeasible calls
+        let mut seen = [0u32; 4];
+        for seed in 0..60 {
+            let mut rng = SimRng::new(seed);
+            // odd seeds draw fractional sizes, even seeds whole ones (whose
+            // sums are exact, so deficits can sit exactly on a boundary)
+            let whole = seed % 2 == 0;
+            let mut new = StorageElement::new(2_000.0);
+            let mut old = new.clone();
+            let mut now = 0.0;
+            for op in 0..600 {
+                let at = format!("seed {seed} op {op}");
+                // a coarse clock: many files share an access time, so the
+                // id tie-break decides LRU order as often as the key does
+                if rng.next_below(4) == 0 {
+                    now += 1.0;
+                }
+                let t = SimTime::new(now);
+                let f = FileId(rng.next_below(IDS));
+                let use_lru = rng.next_below(2) == 0;
+                let key = |m: &FileMeta| if use_lru { lru(m) } else { lfu(m) };
+                match rng.next_below(10) {
+                    0..=2 if !new.has(f) => {
+                        let size = if whole {
+                            (1 + rng.next_below(150)) as f64
+                        } else {
+                            0.5 + rng.next_f64() * 150.0
+                        };
+                        let got = new.make_room(size, key);
+                        assert_eq!(got, make_room_by_sort(&mut old, size, key), "{at}");
+                        if got.is_some() {
+                            new.store(f, size, t);
+                            old.store(f, size, t);
+                        }
+                    }
+                    3 | 4 => {
+                        assert_eq!(new.touch(f, t), old.touch(f, t), "{at}");
+                    }
+                    5 => {
+                        new.pin(f);
+                        old.pin(f);
+                    }
+                    6 if new.meta(f).is_some_and(|m| m.pins > 0) => {
+                        new.unpin(f);
+                        old.unpin(f);
+                    }
+                    7 if new.meta(f).is_some_and(|m| m.pins == 0) => {
+                        new.delete(f);
+                        old.delete(f);
+                    }
+                    8 | 9 => {
+                        // a deficit chosen against the reference order
+                        let order: Vec<f64> = old
+                            .evict_candidates(key)
+                            .iter()
+                            .map(|(id, _)| old.meta(*id).unwrap().size)
+                            .collect();
+                        let total: f64 = order.iter().sum();
+                        let free = old.free();
+                        let inside = 0.25 + 0.5 * rng.next_f64();
+                        let needed = match rng.next_below(5) {
+                            0 => free * rng.next_f64(),
+                            3 => free + total + 1.0 + 50.0 * rng.next_f64(),
+                            4 if whole && !order.is_empty() => {
+                                let k = 1 + rng.next_below(order.len() as u64) as usize;
+                                free + order[..k].iter().sum::<f64>()
+                            }
+                            _ if order.is_empty() => free + 1.0,
+                            r => {
+                                let k = if r == 1 {
+                                    1
+                                } else {
+                                    1 + rng.next_below(order.len() as u64) as usize
+                                };
+                                free + order[..k - 1].iter().sum::<f64>() + inside * order[k - 1]
+                            }
+                        };
+                        let before = new.clone();
+                        let got = new.make_room(needed, key);
+                        assert_eq!(got, make_room_by_sort(&mut old, needed, key), "{at}");
+                        match &got {
+                            None => {
+                                assert_same_disk(&new, &before, IDS, &at);
+                                seen[3] += 1;
+                            }
+                            Some(v) => seen[v.len().min(2)] += 1,
+                        }
+                    }
+                    _ => {}
+                }
+                assert_same_disk(&new, &old, IDS, &at);
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 50), "coverage {seen:?}");
     }
 
     // -- tape --

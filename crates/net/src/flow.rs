@@ -218,7 +218,7 @@ pub struct FlowNet {
     /// Direct-indexed id → slot map (ids are issued densely from 0).
     fmap: IdMap,
     /// Retired path `Vec`s, reused by new flows so steady-state transfer
-    /// starts allocate nothing.
+    /// starts allocate nothing; at most one per flow slot.
     spare_paths: Vec<Vec<LinkId>>,
     next_id: u64,
     /// Cumulative bytes carried per link. Progress is charged lazily: a
@@ -482,7 +482,7 @@ impl FlowNet {
                 .borrow_mut()
                 .path_into(&self.routing, &self.topo, src, dst, &mut path);
         if !routed {
-            self.spare_paths.push(path);
+            self.recycle_path(path);
             return Err(NoRoute { src, dst });
         }
         assert!(!path.is_empty(), "src == dst transfer needs no network");
@@ -544,7 +544,7 @@ impl FlowNet {
                 self.scratch.seeds.push(l.0);
             }
         }
-        self.spare_paths.push(std::mem::take(&mut f.path));
+        self.recycle_path(std::mem::take(&mut f.path));
         self.reshare(now, sched);
         self.record_utilization(now);
         Some(rec)
@@ -619,7 +619,7 @@ impl FlowNet {
                                 // pending completion stays valid, exactly
                                 // as the full recompute would conclude
                                 let old = std::mem::replace(&mut f.path, p);
-                                self.spare_paths.push(old);
+                                self.recycle_path(old);
                                 self.index(id);
                                 self.rerouted += 1;
                                 outcome.rerouted += 1;
@@ -638,7 +638,7 @@ impl FlowNet {
                                         self.scratch.seeds.push(ol.0);
                                     }
                                 }
-                                self.spare_paths.push(std::mem::take(&mut f.path));
+                                self.recycle_path(std::mem::take(&mut f.path));
                                 self.aborted += 1;
                                 outcome.aborted.push(FlowAborted {
                                     id: FlowId(id),
@@ -853,15 +853,24 @@ impl FlowNet {
                 for &l in &f.path {
                     self.scratch.seeds.push(l.0);
                 }
-                self.spare_paths.push(std::mem::take(&mut f.path));
+                self.recycle_path(std::mem::take(&mut f.path));
                 self.reshare(now, sched);
                 self.record_utilization(now);
             }
         }
     }
 
+    /// Keeps a retired path buffer for reuse while fewer are spare than
+    /// flow slots exist: starts never need more buffers than peak
+    /// concurrency, so reroutes cannot grow the pool without bound.
+    fn recycle_path(&mut self, path: Vec<LinkId>) {
+        if self.spare_paths.len() < self.flows.slot_bound() as usize {
+            self.spare_paths.push(path);
+        }
+    }
+
     /// Unbinds a flow id and removes its slot, returning the flow.
-    /// Callers recycle `f.path` into `spare_paths` once done with it.
+    /// Callers hand `f.path` to `recycle_path` once done with it.
     fn remove_flow(&mut self, id: u64) -> Option<Flow> {
         let slot = self.fmap.unbind(id)?;
         self.flows.remove(slot)
@@ -1195,6 +1204,7 @@ mod tests {
 
     enum Ev {
         Kickoff(usize),
+        Fault(LinkFault),
         Net(FlowEvent),
     }
 
@@ -1205,6 +1215,10 @@ mod tests {
                 Ev::Kickoff(i) => {
                     let (_, src, dst, bytes, tag) = self.plan[i];
                     self.net.start(src, dst, bytes, tag, &mut ctx.map(Ev::Net));
+                }
+                Ev::Fault(fault) => {
+                    let out = self.net.apply_fault(fault, &mut ctx.map(Ev::Net));
+                    assert!(out.aborted.is_empty(), "a detour always survives");
                 }
                 Ev::Net(fe) => {
                     let done = self.net.handle(fe, &mut ctx.map(Ev::Net));
@@ -1455,6 +1469,43 @@ mod tests {
         let (hits, misses) = net.route_cache_stats();
         assert_eq!(misses, 1, "one miss fills the (a, b) entry");
         assert_eq!(hits, 5, "the remaining starts are cache hits");
+    }
+
+    #[test]
+    fn reroutes_keep_spare_paths_within_slot_bound() {
+        // two parallel two-hop routes a→b; alternately failing the first
+        // hop of each moves the one long flow back and forth
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Host, "a");
+        let b = t.add_node(NodeKind::Host, "b");
+        let mut first_hops = Vec::new();
+        for name in ["r0", "r1"] {
+            let r = t.add_node(NodeKind::Router, name);
+            first_hops.push(t.add_link(a, r, mbps(80.0), 0.0));
+            t.add_link(r, b, mbps(80.0), 0.0);
+        }
+        let mut sim = EventDriven::new(Harness {
+            net: FlowNet::new(t),
+            done: vec![],
+            plan: vec![(0.0, a, b, 1.0e12, 0)],
+        });
+        sim.schedule(SimTime::ZERO, Ev::Kickoff(0));
+        for cycle in 0..400 {
+            let link = first_hops[cycle % 2];
+            let at = 1.0 + cycle as f64;
+            sim.schedule(SimTime::new(at), Ev::Fault(LinkFault::Down(link)));
+            sim.schedule(SimTime::new(at + 0.5), Ev::Fault(LinkFault::Up(link)));
+        }
+        sim.run_until(SimTime::new(500.0));
+        let net = &sim.model().net;
+        assert_eq!(net.in_flight(), 1);
+        assert!(net.rerouted() >= 300, "only {} reroutes", net.rerouted());
+        assert!(
+            net.spare_paths.len() <= net.flows.slot_bound() as usize,
+            "{} spare paths for {} flow slots",
+            net.spare_paths.len(),
+            net.flows.slot_bound()
+        );
     }
 
     #[test]

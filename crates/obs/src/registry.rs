@@ -437,8 +437,8 @@ mod tests {
 
     /// Regression (PR 7): a NaN-poisoned summary (mean NaN, min/max stuck
     /// at their ±inf sentinels) must still snapshot to all-finite fields —
-    /// JSON has no NaN/infinity literal and `BENCH_*.json` consumers
-    /// assume numbers.
+    /// JSON has no NaN/infinity literal, so a snapshot with one would not
+    /// parse. This test is where that property is held.
     #[test]
     fn snapshot_of_nan_poisoned_summary_is_finite() {
         let mut reg = Registry::new();

@@ -22,8 +22,9 @@
 //! | [`timewarp`] | always (**optimistic**) | rollback, anti-messages, GVT | thread per LP |
 //!
 //! Lookahead bounds CMB's null-message overhead (experiment E4); Time Warp
-//! wins where lookahead is short, work-stealing where LPs outnumber cores
-//! (`exp_worksteal`), and [`partition`] places LPs on workers.
+//! targets short lookahead, work-stealing the case where LPs outnumber
+//! cores (`par.ws.speedup_vs_seq` on the `phold_par` workload of
+//! `BENCHMARK.json` measures it), and [`partition`] places LPs on workers.
 //!
 //! All engines are deterministic: the kernel assigns every event its key
 //! in each LP's local delivery order, so each LP sees its events in the

@@ -107,9 +107,11 @@ const CRITICAL_TRACK_BOOST: f64 = 2.0;
 ///
 /// The intended workflow is a cheap profiling pass with one LP per
 /// entity (`run_cmb_traced` / `run_worksteal`), then a production run
-/// whose entity→LP mapping comes from this function — `exp_worksteal`'s
-/// `partition` scenario measures the imbalance this removes. Entities
-/// that never ran (zero spans) get cost 0 and fill in last.
+/// whose entity→LP mapping comes from this function. The tests
+/// `profiled_from_trace_spreads_measured_load` and
+/// `profiled_never_loses_to_count_based_partitions` hold the imbalance
+/// this removes. Entities that never ran (zero spans) get cost 0 and fill
+/// in last.
 pub fn profiled_from_trace(
     trace: &SpanTrace,
     critical: Option<&CriticalPath>,

@@ -2,9 +2,10 @@
 //!
 //! The thread-per-LP engines ([`crate::cmb`], [`crate::timewarp`]) hand
 //! scheduling to the OS the moment LPs outnumber cores — the common case
-//! for fine-grained partitions (`BENCH_timewarp.json` ran 4 LPs on one
-//! core), where a single slow LP stalls every null-message round while
-//! its peers burn context switches. This engine inverts the mapping: a
+//! for fine-grained partitions (the `phold_par` workload of
+//! `BENCHMARK.json` runs 16 LPs on at most 4 workers, reported as
+//! `par.ws.speedup_vs_seq`), where a single slow LP stalls every
+//! null-message round while its peers burn context switches. This engine inverts the mapping: a
 //! fixed pool of **worker threads** pulls *runnable LPs* from per-worker
 //! deques, stealing from the tail of a peer's deque when idle, and an LP
 //! that cannot progress simply is not queued — blocked-on-neighbor waits
