@@ -4,8 +4,12 @@
 //! dependency this module implements the small subset the trace formats
 //! need: a complete value model, a strict recursive-descent parser, and a
 //! writer whose `f64` formatting (Rust's shortest-roundtrip `Display`)
-//! survives a write→read cycle bit-for-bit for finite values.
+//! survives a write→read cycle bit-for-bit for finite values. The same
+//! parser also reads trace records straight into [`MonitorRecord`]
+//! without building a tree (the JSON-lines reader in [`crate::io`]).
 
+use crate::record::MonitorRecord;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Object keys keep their textual order.
@@ -46,16 +50,10 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after value"));
-        }
+        p.end()?;
         Ok(v)
     }
 
@@ -205,17 +203,121 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Parses one JSON-lines trace record without building a [`Json`] tree.
+///
+/// Same grammar as [`Json::parse`], and each field is read as
+/// [`Json::get`] would read it from the tree: the *first*
+/// `time`/`node`/`metric`/`value` member counts, later duplicates and any
+/// other member are validated and dropped. Field errors (missing,
+/// mistyped, or a `time` that [`MonitorRecord::new`] would reject) are
+/// reported only for a syntactically complete line, in the order `time`,
+/// `node`, `metric`, `value`. Offsets are bytes into `line`.
+pub(crate) fn parse_record(line: &str) -> Result<MonitorRecord, JsonError> {
+    let mut p = Parser::new(line);
+    p.skip_ws();
+    let open = p.pos;
+    let (mut time, mut node, mut metric, mut value) = (
+        Member::Absent,
+        Member::Absent,
+        Member::Absent,
+        Member::Absent,
+    );
+    let quote = |b| b == b'"';
+    p.members(|p, key| {
+        match &*key {
+            "time" if time.is_absent() => time = p.member_value(starts_number, Parser::number)?,
+            "node" if node.is_absent() => node = p.member_value(quote, Parser::string)?,
+            "metric" if metric.is_absent() => metric = p.member_value(quote, Parser::string)?,
+            "value" if value.is_absent() => {
+                value = p.member_value(starts_number, Parser::number)?
+            }
+            _ => {
+                p.value()?;
+            }
+        }
+        Ok(())
+    })?;
+    p.end()?;
+    let (time, time_at) = time.take("time", "numeric", open)?;
+    let (node, _) = node.take("node", "string", open)?;
+    let (metric, _) = metric.take("metric", "string", open)?;
+    let (value, _) = value.take("value", "numeric", open)?;
+    if !(time.is_finite() && time >= 0.0) {
+        return Err(JsonError {
+            offset: time_at,
+            message: "field 'time' must be finite and non-negative".to_string(),
+        });
+    }
+    Ok(MonitorRecord::new(time, node, metric, value))
+}
+
+/// The first occurrence of one record member.
+enum Member<T> {
+    Absent,
+    /// The value and the offset it starts at.
+    Found(T, usize),
+    /// A value of the wrong type starts at this offset.
+    Mistyped(usize),
+}
+
+impl<T> Member<T> {
+    fn is_absent(&self) -> bool {
+        matches!(self, Member::Absent)
+    }
+
+    /// The value and its offset; `open` is where the record's object starts.
+    fn take(self, key: &str, kind: &str, open: usize) -> Result<(T, usize), JsonError> {
+        match self {
+            Member::Found(v, at) => Ok((v, at)),
+            Member::Mistyped(offset) => Err(JsonError {
+                offset,
+                message: format!("non-{kind} field '{key}'"),
+            }),
+            Member::Absent => Err(JsonError {
+                offset: open,
+                message: format!("missing field '{key}'"),
+            }),
+        }
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
             message: message.to_string(),
         }
+    }
+
+    /// Skips trailing whitespace and rejects anything after it.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
+    }
+
+    /// `text[start..end]`; callers cut only next to ASCII bytes, so this
+    /// fails only on a parser bug.
+    fn slice(&self, start: usize, end: usize) -> Result<&'a str, JsonError> {
+        self.text
+            .get(start..end)
+            .ok_or_else(|| self.err("invalid UTF-8"))
     }
 
     fn skip_ws(&mut self) {
@@ -232,7 +334,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -258,13 +360,29 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) if starts_number(b) => self.number().map(Json::Num),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
+    /// A record member value: read by `read` when its first byte passes
+    /// `starts`, otherwise validated and reported as mistyped.
+    fn member_value<T>(
+        &mut self,
+        starts: impl Fn(u8) -> bool,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Member<T>, JsonError> {
+        let at = self.pos;
+        if self.peek().is_some_and(starts) {
+            Ok(Member::Found(read(self)?, at))
+        } else {
+            self.value()?;
+            Ok(Member::Mistyped(at))
+        }
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -287,27 +405,40 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
+        self.members(|p, key| {
+            let val = p.value()?;
+            fields.push((key.into_owned(), val));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// Walks an object, handing each key to `member` with the parser
+    /// positioned at the member's value, which `member` must consume.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.str_token()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -315,69 +446,84 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
+        self.str_token().map(Cow::into_owned)
+    }
+
+    /// A string token, borrowed from the input unless it holds an escape.
+    fn str_token(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.eat(b'"')?;
+        let (run, delim) = self.plain_run()?;
+        if delim == b'"' {
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut s = run.to_string();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // surrogate pair
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => s.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
-                }
-                _ => {
-                    // collect the full UTF-8 sequence starting at pos-1
-                    let start = self.pos - 1;
-                    let width = utf8_width(b).ok_or_else(|| self.err("invalid UTF-8"))?;
-                    self.pos = start + width;
-                    if self.pos > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    s.push_str(chunk);
-                }
+            self.escape(&mut s)?;
+            let (run, delim) = self.plain_run()?;
+            s.push_str(run);
+            if delim == b'"' {
+                return Ok(Cow::Owned(s));
             }
         }
+    }
+
+    /// Consumes string text up to and including the next `"` or `\`;
+    /// returns the text before it (valid UTF-8: the input is a `&str` and
+    /// both ends sit next to ASCII) and the delimiter.
+    fn plain_run(&mut self) -> Result<(&'a str, u8), JsonError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+            self.pos += 1;
+        }
+        let Some(delim) = self.peek() else {
+            return Err(self.err("unterminated string"));
+        };
+        let run = self.slice(start, self.pos)?;
+        self.pos += 1;
+        Ok((run, delim))
+    }
+
+    /// Decodes the escape after a backslash onto `s`.
+    fn escape(&mut self, s: &mut String) -> Result<(), JsonError> {
+        let Some(e) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        match e {
+            b'"' => s.push('"'),
+            b'\\' => s.push('\\'),
+            b'/' => s.push('/'),
+            b'b' => s.push('\u{8}'),
+            b'f' => s.push('\u{c}'),
+            b'n' => s.push('\n'),
+            b'r' => s.push('\r'),
+            b't' => s.push('\t'),
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // surrogate pair
+                    if self.peek() == Some(b'\\') {
+                        self.pos += 1;
+                        self.eat(b'u')?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                } else {
+                    hi
+                };
+                match char::from_u32(code) {
+                    Some(c) => s.push(c),
+                    None => return Err(self.err("invalid unicode escape")),
+                }
+            }
+            _ => return Err(self.err("invalid escape character")),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -392,7 +538,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -415,22 +561,14 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
+        self.slice(start, self.pos)?
+            .parse::<f64>()
             .map_err(|_| self.err("invalid number"))
     }
 }
 
-fn utf8_width(b: u8) -> Option<usize> {
-    match b {
-        0x00..=0x7F => Some(1),
-        0xC0..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF7 => Some(4),
-        _ => None,
-    }
+fn starts_number(b: u8) -> bool {
+    b == b'-' || b.is_ascii_digit()
 }
 
 #[cfg(test)]
