@@ -495,15 +495,10 @@ impl GridModel {
         &self.records
     }
 
-    /// Jobs in flight (awaiting metadata, staging, or executing).
+    /// Jobs in flight (deferred, awaiting metadata, staging, or executing:
+    /// a job stays pending until its CPU completion).
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
-            + self.awaiting_db.len()
-            + self
-                .sites
-                .iter()
-                .map(|s| s.cpu.running() + s.cpu.queued())
-                .sum::<usize>()
+        self.deferred.len() + self.awaiting_db.len() + self.pending.len()
     }
 
     /// Datasets produced so far.
@@ -634,18 +629,30 @@ impl GridModel {
                 need -= m.size;
             }
         }
+        self.evict_and_store(site, size, now, |_| file).is_some()
+    }
+
+    /// The one way a file lands on a disk mid-run: evicts unpinned files
+    /// from `site` in the pull policy's order until `size` bytes fit (the
+    /// evicted replicas leave the catalog), then stores the file that
+    /// `file` names and records the replica. `file` runs only once there
+    /// is room, so an output is registered only if it is stored. `None`,
+    /// with nothing evicted, if even full eviction cannot make room.
+    fn evict_and_store(
+        &mut self,
+        site: SiteId,
+        size: f64,
+        now: SimTime,
+        file: impl FnOnce(&mut FileCatalog) -> FileId,
+    ) -> Option<FileId> {
         let key = self.eviction_key();
-        match self.sites[site.0].disk.make_room(size, key) {
-            Some(evicted) => {
-                for ev in evicted {
-                    self.catalog.remove_replica(ev, site);
-                }
-                self.sites[site.0].disk.store(file, size, now);
-                self.catalog.add_replica(file, site);
-                true
-            }
-            None => false,
+        for ev in self.sites[site.0].disk.make_room(size, key)? {
+            self.catalog.remove_replica(ev, site);
         }
+        let file = file(&mut self.catalog);
+        self.sites[site.0].disk.store(file, size, now);
+        self.catalog.add_replica(file, site);
+        Some(file)
     }
 
     fn submit_job(&mut self, spec: JobSpec, ctx: &mut Ctx<'_, GridEvent>) {
@@ -782,7 +789,7 @@ impl GridModel {
                 // the file is still reachable from
                 if let Some(waiters) = self.inflight_fetch.remove(&(a, b as usize)) {
                     for job in waiters {
-                        self.requeue_pending(job, ctx);
+                        self.requeue_pending(job, true, ctx);
                     }
                 }
             }
@@ -803,21 +810,39 @@ impl GridModel {
         }
     }
 
-    /// Pulls a not-yet-finished job out of the pending set and resubmits
-    /// it through the broker, keeping its original submission time.
-    fn requeue_pending(&mut self, job: u64, ctx: &mut Ctx<'_, GridEvent>) {
-        let Some(pj) = self
-            .pmap
-            .unbind(job)
-            .and_then(|slot| self.pending.remove(slot))
-        else {
+    /// The one way out of `pending` before a job finishes: releases its
+    /// pins, withdraws it from the fetch of every input it still waits for
+    /// (the fetch runs on, see [`GridModel::on_stage_arrived`]), and
+    /// resubmits it through the broker, keeping its original submission
+    /// time — at once, or, `later` (an input was abandoned), with the next
+    /// deferred sweep, so a zero retry budget cannot re-place it at the
+    /// same instant forever. No-op if `job` is not pending.
+    fn requeue_pending(&mut self, job: u64, later: bool, ctx: &mut Ctx<'_, GridEvent>) {
+        let Some(pj) = self.retire(job) else {
             return;
         };
+        for f in &pj.spec.inputs {
+            if let Some(waiters) = self.inflight_fetch.get_mut(&(f.0, pj.site.0)) {
+                waiters.retain(|&w| w != job);
+            }
+        }
+        self.jobs_requeued += 1;
+        if later {
+            self.deferred.push_back(pj.spec);
+            self.schedule_deferred_retry(ctx);
+        } else {
+            ctx.schedule_in(0.0, GridEvent::Resubmit(pj.spec));
+        }
+    }
+
+    /// Takes `job` out of `pending` and releases the pins on its staged
+    /// inputs.
+    fn retire(&mut self, job: u64) -> Option<PendingJob> {
+        let pj = self.pmap.unbind(job).and_then(|s| self.pending.remove(s))?;
         for f in &pj.pinned {
             self.sites[pj.site.0].disk.unpin(*f);
         }
-        self.jobs_requeued += 1;
-        ctx.schedule_in(0.0, GridEvent::Resubmit(pj.spec));
+        Some(pj)
     }
 
     /// The backoff for tag `t` elapsed: re-resolve a source (topology or
@@ -829,8 +854,10 @@ impl GridModel {
             KIND_STAGE => {
                 let file = FileId(a);
                 let site = SiteId(b as usize);
-                if !self.inflight_fetch.contains_key(&(file.0, site.0)) {
-                    // every waiter was requeued or satisfied meanwhile
+                let key = (file.0, site.0);
+                if self.inflight_fetch.get(&key).is_none_or(Vec::is_empty) {
+                    // every waiter was requeued meanwhile: stop the fetch
+                    self.inflight_fetch.remove(&key);
                     self.retry_attempts.remove(&t);
                     return;
                 }
@@ -848,33 +875,7 @@ impl GridModel {
                     self.on_transfer_failed(t, ctx);
                     return;
                 };
-                let size = self.catalog.size(file);
-                self.sites[src.0].disk.touch(file, now);
-                let archived =
-                    self.on_tape.contains(&(file.0, src.0)) && !self.sites[src.0].disk.has(file);
-                if archived {
-                    let recall = self.inflight_recall.entry((file.0, src.0)).or_default();
-                    if !recall.contains(&site.0) {
-                        recall.push(site.0);
-                        if recall.len() == 1 {
-                            self.tape_recalls += 1;
-                            let sidx = src.0;
-                            self.sites[sidx]
-                                .tape
-                                .as_mut()
-                                .expect("archived file at a site without tape")
-                                .recall(
-                                    file.0,
-                                    size,
-                                    &mut ctx.map(move |ev| GridEvent::Tape { site: sidx, ev }),
-                                );
-                        }
-                    }
-                } else {
-                    let src_node = self.sites[src.0].node;
-                    let dst_node = self.sites[site.0].node;
-                    self.start_or_retry(src_node, dst_node, size, t, ctx);
-                }
+                self.fetch(file, src, site, ctx);
             }
             KIND_PUSH => {
                 let file = FileId(a);
@@ -932,7 +933,7 @@ impl GridModel {
                 // and the outage shows up in makespan
                 let lost = self.sites[s.0].cpu.crash(ctx.now());
                 for job in lost {
-                    self.requeue_pending(job, ctx);
+                    self.requeue_pending(job, false, ctx);
                 }
             }
             FaultKind::SiteRecover(s) => {
@@ -962,42 +963,14 @@ impl GridModel {
                 .unwrap_or_else(|| panic!("file {f:?} has no holder"));
             let src_node = self.sites[src.0].node;
             let size = self.catalog.size(f);
-            self.sites[src.0].disk.touch(f, now);
             // join an in-flight fetch of the same file to this site, or
             // start one — replica managers deduplicate concurrent requests
-            let waiters = self.inflight_fetch.entry((f.0, site.0)).or_default();
-            waiters.push(spec.id.0);
-            if waiters.len() == 1 {
-                let archived =
-                    self.on_tape.contains(&(f.0, src.0)) && !self.sites[src.0].disk.has(f);
-                if archived {
-                    // the source copy lives on tape: recall it to disk
-                    // first, then the WAN transfer(s) start on completion
-                    let recall = self.inflight_recall.entry((f.0, src.0)).or_default();
-                    recall.push(site.0);
-                    if recall.len() == 1 {
-                        self.tape_recalls += 1;
-                        let sidx = src.0;
-                        self.sites[sidx]
-                            .tape
-                            .as_mut()
-                            .expect("archived file at a site without tape")
-                            .recall(
-                                f.0,
-                                size,
-                                &mut ctx.map(move |ev| GridEvent::Tape { site: sidx, ev }),
-                            );
-                    }
-                } else {
-                    let dst_node = self.sites[site.0].node;
-                    self.start_or_retry(
-                        src_node,
-                        dst_node,
-                        size,
-                        tag(KIND_STAGE, f.0, site.0 as u64),
-                        ctx,
-                    );
-                }
+            if let Some(waiters) = self.inflight_fetch.get_mut(&(f.0, site.0)) {
+                waiters.push(spec.id.0);
+                self.sites[src.0].disk.touch(f, now);
+            } else {
+                self.inflight_fetch.insert((f.0, site.0), vec![spec.id.0]);
+                self.fetch(f, src, site, ctx);
             }
             // push replication bookkeeping at the holding site
             if let ReplicationPolicy::Push { threshold } = self.replication {
@@ -1019,48 +992,75 @@ impl GridModel {
                 }
             }
         }
-        let pj = PendingJob {
+        let id = spec.id.0;
+        let slot = self.pending.insert(PendingJob {
             site,
             missing,
             staged_bytes: 0.0,
             pinned,
             spec,
             staged: None,
-        };
-        if pj.missing == 0 {
-            self.start_execution(pj, now, ctx);
-        } else {
-            let id = pj.spec.id.0;
-            let slot = self.pending.insert(pj);
-            self.pmap.bind(id, slot);
+        });
+        self.pmap.bind(id, slot);
+        if missing == 0 {
+            self.start_execution(id, now, ctx);
         }
     }
 
-    fn start_execution(
-        &mut self,
-        mut pj: PendingJob,
-        staged: SimTime,
-        ctx: &mut Ctx<'_, GridEvent>,
-    ) {
-        if !self.site_up[pj.site.0] {
-            // the chosen site crashed while inputs were staging: send the
-            // job back through the broker
-            for f in &pj.pinned {
-                self.sites[pj.site.0].disk.unpin(*f);
-            }
-            self.jobs_requeued += 1;
-            ctx.schedule_in(0.0, GridEvent::Resubmit(pj.spec));
+    /// Starts fetching `file` from holder `src` to `site` for a new (or
+    /// retried) `inflight_fetch` entry: touches the source copy, then joins
+    /// or starts its tape recall if that copy is archived, or else starts
+    /// the WAN stage transfer.
+    fn fetch(&mut self, file: FileId, src: SiteId, site: SiteId, ctx: &mut Ctx<'_, GridEvent>) {
+        let size = self.catalog.size(file);
+        self.sites[src.0].disk.touch(file, ctx.now());
+        let archived = self.on_tape.contains(&(file.0, src.0)) && !self.sites[src.0].disk.has(file);
+        if !archived {
+            let src_node = self.sites[src.0].node;
+            let dst_node = self.sites[site.0].node;
+            let t = tag(KIND_STAGE, file.0, site.0 as u64);
+            self.start_or_retry(src_node, dst_node, size, t, ctx);
             return;
         }
+        // the source copy lives on tape: recall it to disk first, then the
+        // WAN transfer(s) start on completion
+        let recall = self.inflight_recall.entry((file.0, src.0)).or_default();
+        recall.push(site.0);
+        if recall.len() == 1 {
+            self.tape_recalls += 1;
+            let sidx = src.0;
+            self.sites[sidx]
+                .tape
+                .as_mut()
+                .expect("archived file at a site without tape")
+                .recall(
+                    file.0,
+                    size,
+                    &mut ctx.map(move |ev| GridEvent::Tape { site: sidx, ev }),
+                );
+        }
+    }
+
+    /// Every input of pending job `job` is at its site: hand it to the CPU
+    /// farm. The pending entry lives on (with staging accounting and pins)
+    /// until the CPU completion builds the job record.
+    fn start_execution(&mut self, job: u64, staged: SimTime, ctx: &mut Ctx<'_, GridEvent>) {
+        let pj = self
+            .pmap
+            .get(job)
+            .and_then(|s| self.pending.get_mut(s))
+            .expect("started job is not pending");
+        pj.staged = Some(staged);
         let site = pj.site.0;
         let id = pj.spec.id;
         let work = pj.spec.work;
         let owner = pj.spec.owner;
-        pj.staged = Some(staged);
-        // the pending entry lives on (with staging accounting) until the
-        // CPU completion builds the job record
-        let slot = self.pending.insert(pj);
-        self.pmap.bind(id.0, slot);
+        if !self.site_up[site] {
+            // the chosen site crashed while inputs were staging: send the
+            // job back through the broker
+            self.requeue_pending(job, false, ctx);
+            return;
+        }
         self.sites[site].cpu.submit(
             id,
             work,
@@ -1089,42 +1089,25 @@ impl GridModel {
                 self.wan_bytes += bytes;
                 self.on_stage_arrived(FileId(a), SiteId(b as usize), bytes, finished, ctx);
             }
-            KIND_PUSH => {
+            KIND_PUSH | KIND_AGENT => {
                 let file = FileId(a);
                 let site = SiteId(b as usize);
                 self.wan_bytes += bytes;
-                self.try_store_replica_unconditional(file, site, finished);
-            }
-            KIND_AGENT => {
-                let file = FileId(a);
-                let site = SiteId(b as usize);
-                self.wan_bytes += bytes;
-                self.agent_log.push((file.0, site.0, finished.seconds()));
-                self.try_store_replica_unconditional(file, site, finished);
-                let starts = self
-                    .agent
-                    .as_mut()
-                    .expect("agent transfer without agent")
-                    .on_transfer_done();
-                self.start_agent_transfers(starts, ctx);
+                // shipments store regardless of pull policy
+                if !self.sites[site.0].disk.has(file) {
+                    self.evict_and_store(site, self.catalog.size(file), finished, |_| file);
+                }
+                if kind == KIND_AGENT {
+                    self.agent_log.push((file.0, site.0, finished.seconds()));
+                    let starts = self
+                        .agent
+                        .as_mut()
+                        .expect("agent transfer without agent")
+                        .on_transfer_done();
+                    self.start_agent_transfers(starts, ctx);
+                }
             }
             other => panic!("unknown flow tag kind {other}"),
-        }
-    }
-
-    /// Store regardless of pull policy (push/agent shipments).
-    fn try_store_replica_unconditional(&mut self, file: FileId, site: SiteId, now: SimTime) {
-        let size = self.catalog.size(file);
-        if self.sites[site.0].disk.has(file) {
-            return;
-        }
-        let key = self.eviction_key();
-        if let Some(evicted) = self.sites[site.0].disk.make_room(size, key) {
-            for ev in evicted {
-                self.catalog.remove_replica(ev, site);
-            }
-            self.sites[site.0].disk.store(file, size, now);
-            self.catalog.add_replica(file, site);
         }
     }
 
@@ -1154,6 +1137,8 @@ impl GridModel {
 
     /// Bytes of `file` became available at `site`: release the waiting
     /// jobs (shared staging accounting) and store a replica per policy.
+    /// Waiters are pending jobs at `site` (a requeue withdraws its id), so
+    /// a fetch whose waiters all left only stores the replica.
     fn on_stage_arrived(
         &mut self,
         file: FileId,
@@ -1165,14 +1150,16 @@ impl GridModel {
         let waiters = self
             .inflight_fetch
             .remove(&(file.0, site.0))
-            .expect("stage completion without waiters");
+            .expect("stage completion without a fetch");
         // store once per arrival, then pin per waiting job
         let stored = self.replication.is_pull() && self.try_store_replica(file, site, finished);
         let share = bytes / waiters.len() as f64;
         for job in waiters {
-            let Some(pj) = self.pmap.get(job).and_then(|s| self.pending.get_mut(s)) else {
-                continue;
-            };
+            let pj = self
+                .pmap
+                .get(job)
+                .and_then(|s| self.pending.get_mut(s))
+                .expect("waiter is not pending");
             pj.staged_bytes += share;
             pj.missing -= 1;
             if stored {
@@ -1180,12 +1167,7 @@ impl GridModel {
                 pj.pinned.push(file);
             }
             if pj.missing == 0 {
-                let pj = self
-                    .pmap
-                    .unbind(job)
-                    .and_then(|slot| self.pending.remove(slot))
-                    .expect("pending vanished");
-                self.start_execution(pj, finished, ctx);
+                self.start_execution(job, finished, ctx);
             }
         }
     }
@@ -1197,15 +1179,10 @@ impl GridModel {
         let now = ctx.now();
         // disk-cache the recalled copy (pinned: it is the tape master's
         // online image; evicting it would force re-recalls mid-run)
-        if !self.sites[holder.0].disk.has(file) {
-            let key = self.eviction_key();
-            if let Some(evicted) = self.sites[holder.0].disk.make_room(size, key) {
-                for ev in evicted {
-                    self.catalog.remove_replica(ev, holder);
-                }
-                self.sites[holder.0].disk.store(file, size, now);
-                self.sites[holder.0].disk.pin(file);
-            }
+        if !self.sites[holder.0].disk.has(file)
+            && self.evict_and_store(holder, size, now, |_| file).is_some()
+        {
+            self.sites[holder.0].disk.pin(file);
         }
         let dsts = self
             .inflight_recall
@@ -1237,29 +1214,16 @@ impl GridModel {
         started: SimTime,
         ctx: &mut Ctx<'_, GridEvent>,
     ) {
-        let pj = self
-            .pmap
-            .unbind(job.0)
-            .and_then(|slot| self.pending.remove(slot))
-            .expect("finished job was not pending");
+        let pj = self.retire(job.0).expect("finished job was not pending");
         let staged = pj.staged.expect("finished job has no staged time");
-        for f in pj.pinned {
-            self.sites[site].disk.unpin(f);
-        }
         let spec = pj.spec;
         let finished = ctx.now();
         let cost = self.sites[site].cost_of(spec.work);
         let deadline_met = spec.deadline.is_none_or(|d| finished - spec.submitted <= d);
         // outputs land on the local disk (best effort: evicted-on-demand)
         if spec.output_bytes > 0.0 {
-            let key = self.eviction_key();
-            if let Some(evicted) = self.sites[site].disk.make_room(spec.output_bytes, key) {
-                for ev in evicted {
-                    self.catalog.remove_replica(ev, SiteId(site));
-                }
-                let f = self.catalog.register(spec.output_bytes, SiteId(site));
-                self.sites[site].disk.store(f, spec.output_bytes, finished);
-            }
+            let (bytes, at) = (spec.output_bytes, SiteId(site));
+            self.evict_and_store(at, bytes, finished, |c| c.register(bytes, at));
         }
         self.records.push(JobRecord {
             id: spec.id,
@@ -1287,22 +1251,13 @@ impl GridModel {
         };
         let f = self.catalog.register(size, site);
         self.produced_log.push((f.0, ctx.now().seconds()));
-        // origin copy: evict unpinned replicas if needed, then pin
-        let key = self.eviction_key();
-        match self.sites[site.0].disk.make_room(size, key) {
-            Some(evicted) => {
-                for ev in evicted {
-                    self.catalog.remove_replica(ev, site);
-                }
-                self.sites[site.0].disk.store(f, size, ctx.now());
-                self.sites[site.0].disk.pin(f);
-            }
-            None => {
-                // production outran storage: the dataset exists in the
-                // catalog but only virtually; count it as a loss by
-                // keeping it unpinned nowhere. Real MONARC runs size T0
-                // storage to avoid this; experiments should too.
-            }
+        // origin copy: evict unpinned replicas if needed, then pin. If
+        // production outran storage, the dataset exists in the catalog
+        // but only virtually; count it as a loss by keeping it unpinned
+        // nowhere. Real MONARC runs size T0 storage to avoid this;
+        // experiments should too.
+        if self.evict_and_store(site, size, ctx.now(), |_| f).is_some() {
+            self.sites[site.0].disk.pin(f);
         }
         self.produced += 1;
         if let Some(agent) = self.agent.as_mut() {
@@ -1961,6 +1916,18 @@ mod tests {
             .site_outage(SiteId(0), 0.0, 500.0)
             .site_outage(SiteId(1), 0.0, 500.0);
         sim.model_mut().set_faults(faults);
+        sim.run_until(SimTime::new(100.0));
+        assert_eq!(sim.model().in_flight(), 10, "deferred jobs are in flight");
+        // once the sites are back, each job is in flight or done, never
+        // both, and an executing job counts once
+        let mut executed = false;
+        for t in 500..560 {
+            sim.run_until(SimTime::new(f64::from(t)));
+            let m = sim.model();
+            executed |= (0..2).any(|s| m.site(SiteId(s)).cpu.running() > 0);
+            assert_eq!(m.in_flight() + m.records().len(), 10, "t = {t}");
+        }
+        assert!(executed, "the sweep must catch jobs executing");
         sim.run_until(SimTime::new(1.0e6));
         let rep = sim.model().report();
         assert!(rep.jobs_deferred > 0, "no site up -> jobs deferred");
