@@ -1,12 +1,10 @@
 //! Event-driven executor: the clock jumps to the next pending event.
 
-use super::{Ctx, Model, QueueSink, RunStats};
-use crate::event::{EventSeq, ScheduledEvent};
+use super::kernel::Kernel;
+use super::{Model, RunStats};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::time::SimTime;
-use lsds_obs::{
-    NoopRecorder, NoopTelemetry, NoopTracer, QueueOp, Recorder, SpanKind, Telemetry, Tracer,
-};
+use lsds_obs::{NoopRecorder, NoopTelemetry, NoopTracer, Recorder, Telemetry, Tracer};
 
 /// The canonical discrete-event executor.
 ///
@@ -44,24 +42,8 @@ pub struct EventDriven<
     Y: Telemetry = NoopTelemetry,
 > {
     model: M,
-    queue: Q,
-    recorder: R,
-    tracer: T,
+    kernel: Kernel<M::Event, Q, R, T>,
     tel: Y,
-    clock: SimTime,
-    seq: EventSeq,
-    staged: Vec<ScheduledEvent<M::Event>>,
-    /// Same-timestamp run drained from the queue in one `pop_run` call,
-    /// held in *reverse* `(time, seq)` order so each `step` takes the next
-    /// event by value with an `O(1)` `pop`. Logically these events are
-    /// still pending: `pending()` and every recorded queue length count
-    /// them, so a batched run is observationally identical to per-event
-    /// popping. Events a handler stages at the batch's own timestamp go to
-    /// the queue and are picked up by the *next* `pop_run` — their seqs
-    /// exceed every seq in the current batch, so `(time, seq)` order holds.
-    batch: Vec<ScheduledEvent<M::Event>>,
-    stopped: bool,
-    processed: u64,
 }
 
 impl<M: Model> EventDriven<M, BinaryHeapQueue<M::Event>, NoopRecorder, NoopTracer, NoopTelemetry> {
@@ -94,16 +76,8 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder>
     pub fn with_parts(model: M, queue: Q, recorder: R) -> Self {
         EventDriven {
             model,
-            queue,
-            recorder,
-            tracer: NoopTracer,
+            kernel: Kernel::new(queue, recorder),
             tel: NoopTelemetry,
-            clock: SimTime::ZERO,
-            seq: 0,
-            staged: Vec::new(),
-            batch: Vec::new(),
-            stopped: false,
-            processed: 0,
         }
     }
 }
@@ -118,16 +92,8 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer, Y: Telemetry>
     pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> EventDriven<M, Q, R, T2, Y> {
         EventDriven {
             model: self.model,
-            queue: self.queue,
-            recorder: self.recorder,
-            tracer,
+            kernel: self.kernel.with_tracer(tracer),
             tel: self.tel,
-            clock: self.clock,
-            seq: self.seq,
-            staged: self.staged,
-            batch: self.batch,
-            stopped: self.stopped,
-            processed: self.processed,
         }
     }
 
@@ -138,16 +104,8 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer, Y: Telemetry>
     pub fn with_telemetry<Y2: Telemetry>(self, tel: Y2) -> EventDriven<M, Q, R, T, Y2> {
         EventDriven {
             model: self.model,
-            queue: self.queue,
-            recorder: self.recorder,
-            tracer: self.tracer,
+            kernel: self.kernel,
             tel,
-            clock: self.clock,
-            seq: self.seq,
-            staged: self.staged,
-            batch: self.batch,
-            stopped: self.stopped,
-            processed: self.processed,
         }
     }
 
@@ -164,44 +122,39 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer, Y: Telemetry>
 
     /// Shared view of the tracer.
     pub fn tracer(&self) -> &T {
-        &self.tracer
+        &self.kernel.tracer
     }
 
     /// Consumes the engine, returning the tracer (e.g. to `finish()` a
     /// `RingTracer` into a `SpanTrace`).
     pub fn into_tracer(self) -> T {
-        self.tracer
+        self.kernel.tracer
     }
 
     /// Consumes the engine, returning both the model and the tracer —
     /// for callers that need the final state *and* the recorded trace.
     pub fn into_model_and_tracer(self) -> (M, T) {
-        (self.model, self.tracer)
+        (self.model, self.kernel.tracer)
     }
 
     /// Schedules an initial event at absolute time `t`.
     pub fn schedule(&mut self, t: SimTime, event: M::Event) {
-        assert!(t >= self.clock, "cannot schedule into the past");
-        let ev = ScheduledEvent::new(t, self.seq, event);
-        self.seq += 1;
-        self.queue.insert(ev);
-        self.recorder
-            .on_queue_op(self.clock.seconds(), QueueOp::Insert, self.queue.len());
+        self.kernel.schedule(t, event);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.kernel.clock
     }
 
     /// Events delivered so far.
     pub fn processed(&self) -> u64 {
-        self.processed
+        self.kernel.processed
     }
 
     /// Pending events (including any batched but not yet delivered).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.batch.len()
+        self.kernel.pending()
     }
 
     /// Shared view of the model.
@@ -221,165 +174,78 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer, Y: Telemetry>
 
     /// Shared view of the observability recorder.
     pub fn recorder(&self) -> &R {
-        &self.recorder
+        &self.kernel.recorder
     }
 
     /// Mutable view of the recorder (e.g. to add model-level metrics).
     pub fn recorder_mut(&mut self) -> &mut R {
-        &mut self.recorder
+        &mut self.kernel.recorder
     }
 
     /// Consumes the engine, returning the recorder.
     pub fn into_recorder(self) -> R {
-        self.recorder
+        self.kernel.recorder
     }
 
     /// Whether a handler has requested a stop.
     pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
-    /// Due time of the next event to deliver — the batch head when a
-    /// same-timestamp run is in flight, the queue minimum otherwise.
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self.batch.last() {
-            Some(ev) => Some(ev.time),
-            None => self.queue.peek_time(),
-        }
+        self.kernel.stopped
     }
 
     /// Delivers the next event, if any. Returns `false` when the event list
     /// is empty or a stop was requested.
     pub fn step(&mut self) -> bool {
-        if self.stopped {
+        if self.kernel.stopped {
             return false;
         }
-        let ev = match self.batch.pop() {
-            Some(ev) => ev,
-            None => {
-                // Deliver the queue head directly; only its timestamp
-                // *ties* — drained in the same queue call, so structures
-                // with contiguous ties pay a single bucket search — go
-                // through the batch, reversed so `pop` hands them out in
-                // `(time, seq)` order. Singleton runs, the common case
-                // under continuous-time models, skip the batch entirely.
-                match self.queue.pop_next(&mut self.batch) {
-                    Some(ev) => {
-                        if !self.batch.is_empty() {
-                            self.batch.reverse();
-                        }
-                        ev
-                    }
-                    None => return false,
-                }
-            }
+        let Some(ev) = self.kernel.pop(None) else {
+            return false;
         };
-        debug_assert!(ev.time >= self.clock, "event list returned past event");
-        if R::ENABLED {
-            self.recorder.on_queue_op(
-                ev.time.seconds(),
-                QueueOp::Pop,
-                self.queue.len() + self.batch.len(),
-            );
-        }
-        self.recorder
-            .on_advance(self.clock.seconds(), ev.time.seconds());
-        self.clock = ev.time;
-        self.processed += 1;
-        if R::ENABLED {
-            self.recorder.on_event(self.clock.seconds());
-        }
-        if Y::ENABLED && self.tel.tick(self.clock.seconds()) {
-            let pending = self.queue.len() + self.batch.len();
-            self.tel
-                .sample("engine.queue_len", 0, self.clock.seconds(), pending as f64);
+        debug_assert!(
+            ev.time >= self.kernel.clock,
+            "event list returned past event"
+        );
+        self.kernel.advance(ev.time);
+        let now = ev.time.seconds();
+        if Y::ENABLED && self.tel.tick(now) {
+            let pending = self.kernel.pending();
+            self.tel.sample("engine.queue_len", 0, now, pending as f64);
             self.tel.peak("engine.queue_high_water", 0, pending as u64);
-            if let Some((live, high)) = self.queue.occupancy() {
-                self.tel
-                    .sample("engine.pool_live", 0, self.clock.seconds(), live as f64);
+            if let Some((live, high)) = self.kernel.queue.occupancy() {
+                self.tel.sample("engine.pool_live", 0, now, live as f64);
                 self.tel.peak("engine.pool_high_water", 0, high as u64);
             }
         }
-        let kind = if T::ENABLED {
-            self.model.trace_kind(&ev.event)
-        } else {
-            SpanKind::DEFAULT
-        };
-        let track = if T::ENABLED {
-            self.model.trace_track(&ev.event)
-        } else {
-            0
-        };
-        let token = self.tracer.begin(ev.seq);
-        if R::ENABLED {
-            // Monitored: stage, then drain with a queue-op hook per insert.
-            let mut ctx = Ctx::new(
-                self.clock,
-                ev.seq,
-                &mut self.staged,
-                &mut self.seq,
-                &mut self.stopped,
-            );
-            self.model.handle(ev.event, &mut ctx);
-            self.tracer
-                .record(ev.seq, ev.parent, kind, track, self.clock.seconds(), token);
-            for staged in self.staged.drain(..) {
-                self.queue.insert(staged);
-                self.recorder.on_queue_op(
-                    self.clock.seconds(),
-                    QueueOp::Insert,
-                    self.queue.len() + self.batch.len(),
-                );
-            }
-        } else {
-            // Unmonitored: scheduled events go straight into the event
-            // list, skipping the staging round-trip. Same insert order,
-            // same `(time, seq)` stamps — the trajectory is identical.
-            let mut sink = QueueSink(&mut self.queue);
-            let mut ctx = Ctx::new(
-                self.clock,
-                ev.seq,
-                &mut sink,
-                &mut self.seq,
-                &mut self.stopped,
-            );
-            self.model.handle(ev.event, &mut ctx);
-            self.tracer
-                .record(ev.seq, ev.parent, kind, track, self.clock.seconds(), token);
-        }
+        self.kernel.deliver_to(&mut self.model, ev);
         true
     }
 
     /// Runs until the event list drains or a handler stops the run.
     pub fn run(&mut self) -> RunStats {
-        let start = self.processed;
+        let start = self.kernel.processed;
         while self.step() {}
-        RunStats::new(self.processed - start, self.clock, 0)
+        RunStats::new(self.kernel.processed - start, self.kernel.clock, 0)
     }
 
     /// Runs until simulated time `t_end` (inclusive of events at `t_end`),
     /// the event list drains, or a handler stops the run. The clock is left
     /// at `t_end` if the horizon was reached with events still pending.
     pub fn run_until(&mut self, t_end: SimTime) -> RunStats {
-        let start = self.processed;
-        while !self.stopped {
-            match self.next_time() {
-                Some(t) if t <= t_end => {
-                    self.step();
-                }
-                _ => break,
-            }
+        let start = self.kernel.processed;
+        while !self.kernel.stopped && self.kernel.next_time().is_some_and(|t| t <= t_end) {
+            self.step();
         }
-        if !self.stopped && self.clock < t_end {
-            self.clock = t_end;
+        if !self.kernel.stopped && self.kernel.clock < t_end {
+            self.kernel.clock = t_end;
         }
-        RunStats::new(self.processed - start, self.clock, 0)
+        RunStats::new(self.kernel.processed - start, self.kernel.clock, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ctx;
     use crate::queue::{CalendarQueue, LadderQueue, SortedListQueue};
     use lsds_obs::MetricsRecorder;
 

@@ -7,11 +7,12 @@
 //! interrupt the integration exactly at their timestamps and may read and
 //! rewrite the continuous state.
 
+use super::kernel::Kernel;
 use super::{Ctx, RunStats};
-use crate::event::{EventSeq, ScheduledEvent, NO_PARENT};
-use crate::queue::{BinaryHeapQueue, EventQueue};
+use crate::event::NO_PARENT;
+use crate::queue::BinaryHeapQueue;
 use crate::time::SimTime;
-use lsds_obs::{NoopRecorder, NoopTracer, QueueOp, Recorder, SpanKind, Tracer};
+use lsds_obs::{NoopRecorder, NoopTracer, Recorder, SpanKind, Tracer};
 
 /// A model with both a continuous state vector and discrete events.
 pub trait HybridModel {
@@ -42,23 +43,11 @@ pub trait HybridModel {
 }
 
 /// Hybrid continuous + discrete-event engine.
-pub struct Hybrid<
-    M: HybridModel,
-    Q: EventQueue<M::Event> = BinaryHeapQueue<<M as HybridModel>::Event>,
-    R: Recorder = NoopRecorder,
-    T: Tracer = NoopTracer,
-> {
+pub struct Hybrid<M: HybridModel, R: Recorder = NoopRecorder, T: Tracer = NoopTracer> {
     model: M,
-    recorder: R,
-    tracer: T,
+    kernel: Kernel<M::Event, BinaryHeapQueue<M::Event>, R, T>,
     y: Vec<f64>,
     dt_max: f64,
-    queue: Q,
-    clock: SimTime,
-    seq: EventSeq,
-    staged: Vec<ScheduledEvent<M::Event>>,
-    stopped: bool,
-    processed: u64,
     integration_steps: u64,
     // scratch buffers for RK4
     k1: Vec<f64>,
@@ -68,7 +57,7 @@ pub struct Hybrid<
     tmp: Vec<f64>,
 }
 
-impl<M: HybridModel> Hybrid<M, BinaryHeapQueue<M::Event>, NoopRecorder, NoopTracer> {
+impl<M: HybridModel> Hybrid<M, NoopRecorder, NoopTracer> {
     /// Creates a hybrid engine with initial continuous state `y0` and
     /// maximum integration step `dt_max`.
     pub fn new(model: M, y0: Vec<f64>, dt_max: f64) -> Self {
@@ -76,7 +65,7 @@ impl<M: HybridModel> Hybrid<M, BinaryHeapQueue<M::Event>, NoopRecorder, NoopTrac
     }
 }
 
-impl<M: HybridModel, R: Recorder> Hybrid<M, BinaryHeapQueue<M::Event>, R, NoopTracer> {
+impl<M: HybridModel, R: Recorder> Hybrid<M, R, NoopTracer> {
     /// Creates a monitored hybrid engine.
     pub fn with_recorder(model: M, y0: Vec<f64>, dt_max: f64, recorder: R) -> Self {
         assert!(
@@ -86,16 +75,9 @@ impl<M: HybridModel, R: Recorder> Hybrid<M, BinaryHeapQueue<M::Event>, R, NoopTr
         let n = y0.len();
         Hybrid {
             model,
-            recorder,
-            tracer: NoopTracer,
+            kernel: Kernel::new(BinaryHeapQueue::new(), recorder),
             y: y0,
             dt_max,
-            queue: BinaryHeapQueue::new(),
-            clock: SimTime::ZERO,
-            seq: 0,
-            staged: Vec::new(),
-            stopped: false,
-            processed: 0,
             integration_steps: 0,
             k1: vec![0.0; n],
             k2: vec![0.0; n],
@@ -106,22 +88,15 @@ impl<M: HybridModel, R: Recorder> Hybrid<M, BinaryHeapQueue<M::Event>, R, NoopTr
     }
 }
 
-impl<M: HybridModel, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> Hybrid<M, Q, R, T> {
+impl<M: HybridModel, R: Recorder, T: Tracer> Hybrid<M, R, T> {
     /// Swaps the tracer, preserving all engine state (see
     /// [`super::EventDriven::with_tracer`]).
-    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Hybrid<M, Q, R, T2> {
+    pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> Hybrid<M, R, T2> {
         Hybrid {
             model: self.model,
-            recorder: self.recorder,
-            tracer,
+            kernel: self.kernel.with_tracer(tracer),
             y: self.y,
             dt_max: self.dt_max,
-            queue: self.queue,
-            clock: self.clock,
-            seq: self.seq,
-            staged: self.staged,
-            stopped: self.stopped,
-            processed: self.processed,
             integration_steps: self.integration_steps,
             k1: self.k1,
             k2: self.k2,
@@ -133,26 +108,21 @@ impl<M: HybridModel, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> Hybrid<M, 
 
     /// Shared view of the tracer.
     pub fn tracer(&self) -> &T {
-        &self.tracer
+        &self.kernel.tracer
     }
 
     /// Consumes the engine, returning the tracer.
     pub fn into_tracer(self) -> T {
-        self.tracer
+        self.kernel.tracer
     }
     /// Schedules a discrete event.
     pub fn schedule(&mut self, t: SimTime, event: M::Event) {
-        assert!(t >= self.clock, "cannot schedule into the past");
-        let ev = ScheduledEvent::new(t, self.seq, event);
-        self.seq += 1;
-        self.queue.insert(ev);
-        self.recorder
-            .on_queue_op(self.clock.seconds(), QueueOp::Insert, self.queue.len());
+        self.kernel.schedule(t, event);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.kernel.clock
     }
 
     /// Continuous state.
@@ -177,16 +147,16 @@ impl<M: HybridModel, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> Hybrid<M, 
 
     /// Shared view of the observability recorder.
     pub fn recorder(&self) -> &R {
-        &self.recorder
+        &self.kernel.recorder
     }
 
     /// Consumes the engine, returning the recorder.
     pub fn into_recorder(self) -> R {
-        self.recorder
+        self.kernel.recorder
     }
 
     fn rk4_step(&mut self, h: f64) {
-        let t = self.clock;
+        let t = self.kernel.clock;
         let n = self.y.len();
         self.model.derivatives(t, &self.y, &mut self.k1);
         for i in 0..n {
@@ -212,100 +182,47 @@ impl<M: HybridModel, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> Hybrid<M, 
     /// Integrates the continuous state up to `t_target` in steps of at most
     /// `dt_max`, invoking `on_step` after each step.
     fn integrate_to(&mut self, t_target: SimTime) {
-        while self.clock < t_target && !self.stopped {
-            let remaining = t_target - self.clock;
-            let h = remaining.min(self.dt_max);
+        while self.kernel.clock < t_target && !self.kernel.stopped {
+            let h = (t_target - self.kernel.clock).min(self.dt_max);
             self.rk4_step(h);
-            let from = self.clock;
-            self.clock += h;
-            self.recorder
-                .on_advance(from.seconds(), self.clock.seconds());
+            self.kernel.advance(self.kernel.clock + h);
             // integration steps are not events: anything scheduled from
             // on_step is externally caused as far as the trace DAG goes
-            let mut ctx = Ctx::new(
-                self.clock,
-                NO_PARENT,
-                &mut self.staged,
-                &mut self.seq,
-                &mut self.stopped,
-            );
-            self.model.on_step(self.clock, &mut self.y, &mut ctx);
-            for staged in self.staged.drain(..) {
-                self.queue.insert(staged);
-                self.recorder
-                    .on_queue_op(self.clock.seconds(), QueueOp::Insert, self.queue.len());
-            }
+            let (model, y, now) = (&mut self.model, &mut self.y, self.kernel.clock);
+            self.kernel
+                .handle(NO_PARENT, |ctx| model.on_step(now, y, ctx));
         }
     }
 
     /// Runs until `t_end`, alternating integration and event delivery.
     pub fn run_until(&mut self, t_end: SimTime) -> RunStats {
-        let start = self.processed;
+        let start = self.kernel.processed;
         let start_steps = self.integration_steps;
-        while !self.stopped {
-            match self.queue.peek_time() {
-                Some(t) if t <= t_end => {
-                    self.integrate_to(t);
-                    if self.stopped {
-                        break;
-                    }
-                    let Some(ev) = self.queue.pop_min() else {
-                        debug_assert!(false, "peeked event vanished");
-                        break;
-                    };
-                    self.recorder
-                        .on_queue_op(ev.time.seconds(), QueueOp::Pop, self.queue.len());
-                    // events scheduled by on_step during integration may
-                    // precede the one we saw; deliver strictly in order
-                    if ev.time > self.clock {
-                        // (integration already brought the clock to ev.time)
-                        debug_assert!(false, "clock behind event after integrate_to");
-                    }
-                    self.processed += 1;
-                    if R::ENABLED {
-                        self.recorder.on_event(self.clock.seconds());
-                    }
-                    let kind = if T::ENABLED {
-                        self.model.trace_kind(&ev.event)
-                    } else {
-                        SpanKind::DEFAULT
-                    };
-                    let track = if T::ENABLED {
-                        self.model.trace_track(&ev.event)
-                    } else {
-                        0
-                    };
-                    let token = self.tracer.begin(ev.seq);
-                    let mut ctx = Ctx::new(
-                        self.clock,
-                        ev.seq,
-                        &mut self.staged,
-                        &mut self.seq,
-                        &mut self.stopped,
-                    );
-                    self.model.handle(ev.event, &mut self.y, &mut ctx);
-                    self.tracer
-                        .record(ev.seq, ev.parent, kind, track, self.clock.seconds(), token);
-                    for staged in self.staged.drain(..) {
-                        self.queue.insert(staged);
-                        if R::ENABLED {
-                            self.recorder.on_queue_op(
-                                self.clock.seconds(),
-                                QueueOp::Insert,
-                                self.queue.len(),
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    self.integrate_to(t_end);
-                    break;
-                }
+        while !self.kernel.stopped {
+            let Some(t) = self.kernel.next_time().filter(|&t| t <= t_end) else {
+                self.integrate_to(t_end);
+                break;
+            };
+            self.integrate_to(t);
+            if self.kernel.stopped {
+                break;
             }
+            let Some(ev) = self.kernel.pop(None) else {
+                break;
+            };
+            // Events on_step scheduled during the integration may precede
+            // the one peeked; they are delivered in order, at the clock.
+            debug_assert!(ev.time <= self.kernel.clock, "clock behind event");
+            let (model, y) = (&mut self.model, &mut self.y);
+            let label = self
+                .kernel
+                .label(|| (model.trace_kind(&ev.event), model.trace_track(&ev.event)));
+            self.kernel
+                .deliver(ev, label, |event, ctx| model.handle(event, y, ctx));
         }
         RunStats::new(
-            self.processed - start,
-            self.clock,
+            self.kernel.processed - start,
+            self.kernel.clock,
             self.integration_steps - start_steps,
         )
     }

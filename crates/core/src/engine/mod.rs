@@ -15,10 +15,16 @@
 //!   discrete events.
 //!
 //! All four deliver events in `(time, seq)` order and share the [`Model`]
-//! callback interface and [`Ctx`] scheduling handle.
+//! callback interface and [`Ctx`] scheduling handle. They also share one
+//! delivery step: the crate-private `kernel` module owns the event list,
+//! clock, observers and tie batch, and implements scheduling, batched
+//! popping, clock advance and handler dispatch once. Each engine file keeps
+//! only its advance policy — which instant comes next, and what the model
+//! sees as `now` there.
 
 mod event_driven;
 mod hybrid;
+mod kernel;
 mod time_driven;
 mod trace_driven;
 
@@ -28,37 +34,9 @@ pub use time_driven::TimeDriven;
 pub use trace_driven::{TraceDriven, TraceSource};
 
 use crate::event::{EventSeq, ScheduledEvent};
-use crate::queue::EventQueue;
 use crate::time::SimTime;
+use kernel::EventSink;
 use lsds_obs::SpanKind;
-
-/// Destination for events scheduled through a [`Ctx`]: the engine's
-/// staging buffer (monitored runs, where the engine emits a queue-op hook
-/// per insert; engines that route events elsewhere, like the trace/hybrid
-/// executors), or the event list itself (unmonitored sequential runs,
-/// which skip the staging round-trip). Either way events arrive in the
-/// queue in the same `(time, seq)`-stamped order, so the choice is
-/// invisible to the trajectory.
-pub(crate) trait EventSink<E> {
-    fn accept(&mut self, ev: ScheduledEvent<E>);
-}
-
-impl<E> EventSink<E> for Vec<ScheduledEvent<E>> {
-    #[inline]
-    fn accept(&mut self, ev: ScheduledEvent<E>) {
-        self.push(ev);
-    }
-}
-
-/// Sink that inserts straight into an event list.
-pub(crate) struct QueueSink<'q, Q>(pub &'q mut Q);
-
-impl<E, Q: EventQueue<E>> EventSink<E> for QueueSink<'_, Q> {
-    #[inline]
-    fn accept(&mut self, ev: ScheduledEvent<E>) {
-        self.0.insert(ev);
-    }
-}
 
 /// A discrete-event simulation model: application state plus an event
 /// handler. The engine owns the clock and the event list; the model reacts

@@ -9,11 +9,11 @@
 //! quantizes delivery times to step boundaries (the fidelity cost of coarse
 //! steps).
 
-use super::{Ctx, Model, QueueSink, RunStats};
-use crate::event::{EventSeq, ScheduledEvent};
+use super::kernel::Kernel;
+use super::{Model, RunStats};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::time::SimTime;
-use lsds_obs::{NoopRecorder, NoopTracer, QueueOp, Recorder, SpanKind, Tracer};
+use lsds_obs::{NoopRecorder, NoopTracer, Recorder, Tracer};
 
 /// Fixed-increment executor over the same [`Model`] interface as
 /// [`super::EventDriven`].
@@ -27,19 +27,8 @@ pub struct TimeDriven<
     T: Tracer = NoopTracer,
 > {
     model: M,
-    queue: Q,
-    recorder: R,
-    tracer: T,
+    kernel: Kernel<M::Event, Q, R, T>,
     dt: f64,
-    clock: SimTime,
-    seq: EventSeq,
-    staged: Vec<ScheduledEvent<M::Event>>,
-    /// Same-timestamp run drained via `pop_run`, held in reverse `(time,
-    /// seq)` order (see [`super::EventDriven`]'s batch field). Logically
-    /// still pending; non-empty across ticks only after a mid-run stop.
-    batch: Vec<ScheduledEvent<M::Event>>,
-    stopped: bool,
-    processed: u64,
     ticks: u64,
 }
 
@@ -70,16 +59,8 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder> TimeDriven<M, Q, R, NoopTra
         assert!(dt.is_finite() && dt > 0.0, "step must be positive");
         TimeDriven {
             model,
-            queue,
-            recorder,
-            tracer: NoopTracer,
+            kernel: Kernel::new(queue, recorder),
             dt,
-            clock: SimTime::ZERO,
-            seq: 0,
-            staged: Vec::new(),
-            batch: Vec::new(),
-            stopped: false,
-            processed: 0,
             ticks: 0,
         }
     }
@@ -91,52 +72,40 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> TimeDriven<M, Q,
     pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> TimeDriven<M, Q, R, T2> {
         TimeDriven {
             model: self.model,
-            queue: self.queue,
-            recorder: self.recorder,
-            tracer,
+            kernel: self.kernel.with_tracer(tracer),
             dt: self.dt,
-            clock: self.clock,
-            seq: self.seq,
-            staged: self.staged,
-            batch: self.batch,
-            stopped: self.stopped,
-            processed: self.processed,
             ticks: self.ticks,
         }
     }
 
     /// Shared view of the tracer.
     pub fn tracer(&self) -> &T {
-        &self.tracer
+        &self.kernel.tracer
     }
 
     /// Consumes the engine, returning the tracer.
     pub fn into_tracer(self) -> T {
-        self.tracer
+        self.kernel.tracer
     }
 
-    /// Schedules an initial event.
+    /// Schedules an initial event at absolute time `t ≥ now()`.
     pub fn schedule(&mut self, t: SimTime, event: M::Event) {
-        let ev = ScheduledEvent::new(t, self.seq, event);
-        self.seq += 1;
-        self.queue.insert(ev);
-        self.recorder
-            .on_queue_op(self.clock.seconds(), QueueOp::Insert, self.queue.len());
+        self.kernel.schedule(t, event);
     }
 
     /// Current simulated time (always a step boundary after a run).
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.kernel.clock
     }
 
     /// Events delivered so far.
     pub fn processed(&self) -> u64 {
-        self.processed
+        self.kernel.processed
     }
 
     /// Pending events (including any batched but not yet delivered).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.batch.len()
+        self.kernel.pending()
     }
 
     /// Shared view of the model.
@@ -151,117 +120,44 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> TimeDriven<M, Q,
 
     /// Shared view of the observability recorder.
     pub fn recorder(&self) -> &R {
-        &self.recorder
+        &self.kernel.recorder
     }
 
     /// Consumes the engine, returning the recorder.
     pub fn into_recorder(self) -> R {
-        self.recorder
+        self.kernel.recorder
     }
 
     /// Advances one fixed step, delivering every event due by the new
     /// clock. Returns `false` once stopped.
     pub fn tick(&mut self) -> bool {
-        if self.stopped {
+        if self.kernel.stopped {
             return false;
         }
         self.ticks += 1;
-        let next = self.clock.after(self.dt);
-        self.recorder
-            .on_advance(self.clock.seconds(), next.seconds());
-        self.clock = next;
-        loop {
-            if self.stopped {
+        let next = self.kernel.clock.after(self.dt);
+        self.kernel.advance(next);
+        // Quantized delivery: the model (and the `Pop` hook) observes the
+        // step boundary, which is now the kernel's clock.
+        while !self.kernel.stopped && self.kernel.next_time().is_some_and(|t| t <= next) {
+            let Some(ev) = self.kernel.pop(Some(next)) else {
                 break;
-            }
-            let ev = match self.batch.pop() {
-                Some(ev) => ev,
-                None => {
-                    match self.queue.peek_time() {
-                        Some(t) if t <= next => {}
-                        _ => break,
-                    }
-                    // Deliver the queue head directly; only its timestamp
-                    // ties (drained in the same queue call) go through the
-                    // batch, reversed so `pop` hands them out in
-                    // `(time, seq)` order.
-                    match self.queue.pop_next(&mut self.batch) {
-                        Some(ev) => {
-                            if !self.batch.is_empty() {
-                                self.batch.reverse();
-                            }
-                            ev
-                        }
-                        None => break,
-                    }
-                }
             };
-            if R::ENABLED {
-                self.recorder.on_queue_op(
-                    next.seconds(),
-                    QueueOp::Pop,
-                    self.queue.len() + self.batch.len(),
-                );
-            }
-            self.processed += 1;
-            if R::ENABLED {
-                self.recorder.on_event(next.seconds());
-            }
-            let kind = if T::ENABLED {
-                self.model.trace_kind(&ev.event)
-            } else {
-                SpanKind::DEFAULT
-            };
-            let track = if T::ENABLED {
-                self.model.trace_track(&ev.event)
-            } else {
-                0
-            };
-            let token = self.tracer.begin(ev.seq);
-            // Quantized delivery: the model observes the step boundary.
-            if R::ENABLED {
-                // Monitored: stage, then drain with a hook per insert.
-                let mut ctx = Ctx::new(
-                    next,
-                    ev.seq,
-                    &mut self.staged,
-                    &mut self.seq,
-                    &mut self.stopped,
-                );
-                self.model.handle(ev.event, &mut ctx);
-                self.tracer
-                    .record(ev.seq, ev.parent, kind, track, next.seconds(), token);
-                for staged in self.staged.drain(..) {
-                    self.queue.insert(staged);
-                    self.recorder.on_queue_op(
-                        next.seconds(),
-                        QueueOp::Insert,
-                        self.queue.len() + self.batch.len(),
-                    );
-                }
-            } else {
-                // Unmonitored: insert straight into the event list (same
-                // insert order and stamps — identical trajectory).
-                let mut sink = QueueSink(&mut self.queue);
-                let mut ctx = Ctx::new(next, ev.seq, &mut sink, &mut self.seq, &mut self.stopped);
-                self.model.handle(ev.event, &mut ctx);
-                self.tracer
-                    .record(ev.seq, ev.parent, kind, track, next.seconds(), token);
-            }
+            self.kernel.deliver_to(&mut self.model, ev);
         }
-        !self.stopped
+        !self.kernel.stopped
     }
 
     /// Runs steps until `t_end` or until a handler stops the run.
     pub fn run_until(&mut self, t_end: SimTime) -> RunStats {
-        let start_events = self.processed;
+        let start_events = self.kernel.processed;
         let start_ticks = self.ticks;
-        while !self.stopped && self.clock < t_end {
+        while !self.kernel.stopped && self.kernel.clock < t_end {
             self.tick();
         }
         RunStats::new(
-            self.processed - start_events,
-            self.clock,
+            self.kernel.processed - start_events,
+            self.kernel.clock,
             self.ticks - start_ticks,
         )
     }
@@ -270,6 +166,7 @@ impl<M: Model, Q: EventQueue<M::Event>, R: Recorder, T: Tracer> TimeDriven<M, Q,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ctx;
 
     struct Accumulator {
         seen: Vec<f64>,
@@ -344,5 +241,14 @@ mod tests {
         sim.schedule(SimTime::ZERO, ());
         sim.run_until(SimTime::new(1000.0));
         assert_eq!(sim.model().n, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_into_past_panics() {
+        let mut sim = TimeDriven::new(Accumulator { seen: vec![] }, 1.0);
+        sim.run_until(SimTime::new(3.0));
+        // Without the check this would be delivered late, at t = 4.
+        sim.schedule(SimTime::new(2.5), 2.5);
     }
 }

@@ -9,11 +9,12 @@
 //! `lsds-trace` supplies [`TraceSource`]s from recorded files or synthetic
 //! generators.
 
-use super::{Ctx, Model, RunStats};
-use crate::event::{EventSeq, ScheduledEvent, NO_PARENT};
+use super::kernel::Kernel;
+use super::{Model, RunStats};
+use crate::event::{ScheduledEvent, NO_PARENT};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::time::SimTime;
-use lsds_obs::{NoopRecorder, NoopTracer, QueueOp, Recorder, SpanKind, Tracer};
+use lsds_obs::{NoopRecorder, NoopTracer, Recorder, Tracer};
 
 /// A time-ordered stream of externally collected events.
 ///
@@ -51,17 +52,10 @@ pub struct TraceDriven<
     Q: EventQueue<M::Event>,
 {
     model: M,
+    kernel: Kernel<M::Event, Q, R, T>,
     source: S,
-    recorder: R,
-    tracer: T,
     lookahead: Option<(SimTime, M::Event)>,
     last_trace_time: SimTime,
-    queue: Q,
-    clock: SimTime,
-    seq: EventSeq,
-    staged: Vec<ScheduledEvent<M::Event>>,
-    stopped: bool,
-    processed: u64,
     replayed: u64,
 }
 
@@ -99,17 +93,10 @@ impl<M: Model, S: TraceSource<Record = M::Event>, Q: EventQueue<M::Event>, R: Re
     pub fn with_parts(model: M, source: S, queue: Q, recorder: R) -> Self {
         TraceDriven {
             model,
+            kernel: Kernel::new(queue, recorder),
             source,
-            recorder,
-            tracer: NoopTracer,
             lookahead: None,
             last_trace_time: SimTime::ZERO,
-            queue,
-            clock: SimTime::ZERO,
-            seq: 0,
-            staged: Vec::new(),
-            stopped: false,
-            processed: 0,
             replayed: 0,
         }
     }
@@ -128,34 +115,27 @@ impl<
     pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> TraceDriven<M, S, Q, R, T2> {
         TraceDriven {
             model: self.model,
+            kernel: self.kernel.with_tracer(tracer),
             source: self.source,
-            recorder: self.recorder,
-            tracer,
             lookahead: self.lookahead,
             last_trace_time: self.last_trace_time,
-            queue: self.queue,
-            clock: self.clock,
-            seq: self.seq,
-            staged: self.staged,
-            stopped: self.stopped,
-            processed: self.processed,
             replayed: self.replayed,
         }
     }
 
     /// Shared view of the tracer.
     pub fn tracer(&self) -> &T {
-        &self.tracer
+        &self.kernel.tracer
     }
 
     /// Consumes the engine, returning the tracer.
     pub fn into_tracer(self) -> T {
-        self.tracer
+        self.kernel.tracer
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.kernel.clock
     }
 
     /// Shared view of the model.
@@ -175,15 +155,18 @@ impl<
 
     /// Shared view of the observability recorder.
     pub fn recorder(&self) -> &R {
-        &self.recorder
+        &self.kernel.recorder
     }
 
     /// Consumes the engine, returning the recorder.
     pub fn into_recorder(self) -> R {
-        self.recorder
+        self.kernel.recorder
     }
 
-    fn fill_lookahead(&mut self) {
+    /// Time of the next delivery, and whether it is an internal event: the
+    /// earlier of the kernel's next event and the trace head, internal
+    /// events winning ties.
+    fn next(&mut self) -> Option<(SimTime, bool)> {
         if self.lookahead.is_none() {
             if let Some((t, r)) = self.source.next_record() {
                 assert!(
@@ -195,125 +178,69 @@ impl<
                 self.lookahead = Some((t, r));
             }
         }
-    }
-
-    fn deliver(&mut self, t: SimTime, id: EventSeq, parent: EventSeq, event: M::Event) {
-        debug_assert!(t >= self.clock);
-        if R::ENABLED {
-            self.recorder.on_advance(self.clock.seconds(), t.seconds());
-        }
-        self.clock = t;
-        self.processed += 1;
-        if R::ENABLED {
-            self.recorder.on_event(t.seconds());
-        }
-        let kind = if T::ENABLED {
-            self.model.trace_kind(&event)
-        } else {
-            SpanKind::DEFAULT
-        };
-        let track = if T::ENABLED {
-            self.model.trace_track(&event)
-        } else {
-            0
-        };
-        let token = self.tracer.begin(id);
-        let mut ctx = Ctx::new(
-            self.clock,
-            id,
-            &mut self.staged,
-            &mut self.seq,
-            &mut self.stopped,
-        );
-        self.model.handle(event, &mut ctx);
-        self.tracer
-            .record(id, parent, kind, track, self.clock.seconds(), token);
-        for staged in self.staged.drain(..) {
-            self.queue.insert(staged);
-            self.recorder
-                .on_queue_op(self.clock.seconds(), QueueOp::Insert, self.queue.len());
+        let trace = self.lookahead.as_ref().map(|(t, _)| *t);
+        match (self.kernel.next_time(), trace) {
+            (Some(q), Some(t)) if t < q => Some((t, false)),
+            (Some(q), _) => Some((q, true)),
+            (None, t) => t.map(|t| (t, false)),
         }
     }
 
     /// Delivers the next event (trace or internal). Returns `false` when
     /// both streams are exhausted or the run was stopped.
     pub fn step(&mut self) -> bool {
-        if self.stopped {
+        if self.kernel.stopped {
             return false;
         }
-        self.fill_lookahead();
-        let trace_t = self.lookahead.as_ref().map(|(t, _)| *t);
-        let queue_t = self.queue.peek_time();
-        // pick the earlier stream (queue wins ties), then pop exactly one
-        let take_queue = match (trace_t, queue_t) {
-            (None, None) => return false,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(tt), Some(qt)) => qt <= tt,
+        let ev = match self.next() {
+            None => return false,
+            Some((_, true)) => match self.kernel.pop(None) {
+                Some(ev) => ev,
+                None => return false,
+            },
+            Some((_, false)) => {
+                let Some((t, r)) = self.lookahead.take() else {
+                    return false;
+                };
+                // Replayed records get a fresh event id; done unconditionally
+                // (not only when traced) so the seq stream — and with it every
+                // tie-break downstream — is identical with tracing on or off.
+                let id = self.kernel.seq;
+                self.kernel.seq += 1;
+                self.replayed += 1;
+                ScheduledEvent::with_parent(t, id, NO_PARENT, r)
+            }
         };
-        if take_queue {
-            let Some(ev) = self.queue.pop_min() else {
-                debug_assert!(false, "peeked event vanished");
-                return false;
-            };
-            self.recorder
-                .on_queue_op(ev.time.seconds(), QueueOp::Pop, self.queue.len());
-            self.deliver(ev.time, ev.seq, ev.parent, ev.event);
-        } else {
-            let Some((t, r)) = self.lookahead.take() else {
-                debug_assert!(false, "lookahead vanished");
-                return false;
-            };
-            // Replayed records get a fresh event id; done unconditionally
-            // (not only when traced) so the seq stream — and with it every
-            // tie-break downstream — is identical with tracing on or off.
-            let id = self.seq;
-            self.seq += 1;
-            self.replayed += 1;
-            self.deliver(t, id, NO_PARENT, r);
-        }
+        debug_assert!(ev.time >= self.kernel.clock);
+        self.kernel.advance(ev.time);
+        self.kernel.deliver_to(&mut self.model, ev);
         true
     }
 
     /// Replays until both streams drain or a handler stops the run.
     pub fn run(&mut self) -> RunStats {
-        let start = self.processed;
+        let start = self.kernel.processed;
         while self.step() {}
-        RunStats::new(self.processed - start, self.clock, 0)
+        RunStats::new(self.kernel.processed - start, self.kernel.clock, 0)
     }
 
     /// Replays events up to and including `t_end`.
     pub fn run_until(&mut self, t_end: SimTime) -> RunStats {
-        let start = self.processed;
-        loop {
-            if self.stopped {
-                break;
-            }
-            self.fill_lookahead();
-            let next = match (
-                self.lookahead.as_ref().map(|(t, _)| *t),
-                self.queue.peek_time(),
-            ) {
-                (None, None) => break,
-                (Some(t), None) => t,
-                (None, Some(t)) => t,
-                (Some(a), Some(b)) => a.min(b),
-            };
-            if next > t_end {
-                break;
-            }
+        let start = self.kernel.processed;
+        while !self.kernel.stopped && self.next().is_some_and(|(t, _)| t <= t_end) {
             self.step();
         }
-        if !self.stopped && self.clock < t_end {
-            self.clock = t_end;
+        if !self.kernel.stopped && self.kernel.clock < t_end {
+            self.kernel.clock = t_end;
         }
-        RunStats::new(self.processed - start, self.clock, 0)
+        RunStats::new(self.kernel.processed - start, self.kernel.clock, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ctx;
 
     #[derive(Debug, PartialEq)]
     enum Ev {
@@ -363,6 +290,51 @@ mod tests {
         let log = &sim.model().log;
         assert_eq!(log[1].1, Ev::Internal(1));
         assert_eq!(log[2].1, Ev::External(2));
+    }
+
+    /// Internal events tied with a trace record are delivered as a batch;
+    /// every one of them — including one a batch member schedules at the
+    /// same instant — still precedes the record, in `seq` order.
+    #[test]
+    fn internal_batch_wins_tie_with_record() {
+        #[derive(Debug, PartialEq)]
+        enum Tie {
+            Record(u32),
+            Internal(u32),
+        }
+        struct Fan {
+            log: Vec<(f64, Tie)>,
+        }
+        impl Model for Fan {
+            type Event = Tie;
+            fn handle(&mut self, ev: Tie, ctx: &mut Ctx<'_, Tie>) {
+                match ev {
+                    Tie::Record(0) => {
+                        for n in 0..3 {
+                            ctx.schedule_at(SimTime::new(1.0), Tie::Internal(n));
+                        }
+                    }
+                    // the batch's last member extends the run at its instant
+                    Tie::Internal(2) => ctx.schedule_in(0.0, Tie::Internal(3)),
+                    _ => {}
+                }
+                self.log.push((ctx.now().seconds(), ev));
+            }
+        }
+        let records = [(0.0, 0), (1.0, 1)]
+            .into_iter()
+            .map(|(t, n)| (SimTime::new(t), Tie::Record(n)));
+        let mut sim = TraceDriven::new(Fan { log: vec![] }, records);
+        sim.run();
+        let expected = [
+            (0.0, Tie::Record(0)),
+            (1.0, Tie::Internal(0)),
+            (1.0, Tie::Internal(1)),
+            (1.0, Tie::Internal(2)),
+            (1.0, Tie::Internal(3)),
+            (1.0, Tie::Record(1)),
+        ];
+        assert_eq!(sim.model().log, expected);
     }
 
     #[test]

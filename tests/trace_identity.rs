@@ -7,7 +7,7 @@
 
 use lsds::core::engine::HybridModel;
 use lsds::core::{Ctx, EventDriven, Hybrid, Model, SimTime, TimeDriven, TraceDriven};
-use lsds::obs::{MetricsRecorder, RingTracer, SpanKind, TraceConfig};
+use lsds::obs::{MetricsRecorder, NoopRecorder, Recorder, RingTracer, SpanKind, TraceConfig};
 use lsds::parallel::cmb::InitialEvents;
 use lsds::parallel::{
     run_cmb, run_cmb_traced, run_timestep, run_timestep_traced, LogicalProcess, LpCtx,
@@ -16,6 +16,22 @@ use lsds::stats::SimRng;
 use lsds::trace::snapshot_to_json_string;
 
 const SEEDS: [u64; 5] = [1, 7, 42, 1234, 0xDEAD];
+
+/// What a `MetricsRecorder` saw: `engine.events`, `engine.advances`,
+/// `engine.inserts`, `engine.pops` and the maximum of `engine.queue_len`.
+/// The monitored cases pin these, so a change to the hook order or counts
+/// of any engine shows up here.
+fn hooks(rec: &MetricsRecorder) -> [u64; 5] {
+    let reg = rec.registry();
+    let max_len = reg.series("engine.queue_len").map_or(0.0, |s| s.max());
+    [
+        reg.counter("engine.events"),
+        reg.counter("engine.advances"),
+        reg.counter("engine.inserts"),
+        reg.counter("engine.pops"),
+        max_len as u64,
+    ]
+}
 
 /// A branching cascade: each event spawns 0–2 children at random offsets,
 /// and the model fingerprints every delivery `(time bits, payload)`.
@@ -100,11 +116,45 @@ fn event_driven_traced_is_bit_identical() {
         );
         assert_eq!(spans, plain.len(), "seed {seed}: one span per event");
     }
+    // Monitored against unmonitored: the recorder only observes.
+    fn run<R: Recorder>(seed: u64, recorder: R) -> (Vec<(u64, u64)>, R) {
+        let mut sim = EventDriven::with_recorder(Cascade::new(seed), recorder);
+        for k in 0..4 {
+            sim.schedule(SimTime::new(k as f64), k);
+        }
+        sim.run_until(SimTime::new(500.0));
+        let fingerprint = std::mem::take(&mut sim.model_mut().fingerprint);
+        (fingerprint, sim.into_recorder())
+    }
+    for (seed, expected) in SEEDS.into_iter().zip(EVENT_DRIVEN_HOOKS) {
+        let (plain, _) = run(seed, NoopRecorder);
+        let (monitored, recorder) = run(seed, MetricsRecorder::new());
+        assert_eq!(plain, monitored, "seed {seed}: monitoring changed the run");
+        assert_eq!(hooks(&recorder), expected, "seed {seed}: hooks");
+    }
 }
+
+/// `hooks` of the monitored event-driven runs, one row per seed.
+const EVENT_DRIVEN_HOOKS: [[u64; 5]; 5] = [
+    [2004, 2004, 2004, 2004, 676],
+    [8, 8, 8, 8, 4],
+    [2006, 2006, 2006, 2006, 642],
+    [2004, 2004, 2004, 2004, 694],
+    [2005, 2005, 2005, 2005, 685],
+];
+
+/// `hooks` of the monitored time-driven runs, one row per seed.
+const TIME_DRIVEN_HOOKS: [[u64; 5]; 5] = [
+    [2001, 600, 2001, 2001, 673],
+    [1, 600, 1, 1, 1],
+    [2003, 600, 2003, 2003, 639],
+    [2001, 600, 2001, 2001, 691],
+    [2002, 600, 2002, 2002, 682],
+];
 
 #[test]
 fn time_driven_traced_is_bit_identical() {
-    for seed in SEEDS {
+    for (seed, expected) in SEEDS.into_iter().zip(TIME_DRIVEN_HOOKS) {
         let run = |traced: bool| {
             let sim = TimeDriven::new(Cascade::new(seed), 0.5);
             if traced {
@@ -124,6 +174,15 @@ fn time_driven_traced_is_bit_identical() {
         let (traced, spans) = run(true);
         assert_eq!(plain, traced, "seed {seed}: trajectories diverged");
         assert_eq!(spans, plain.len(), "seed {seed}: one span per event");
+        let mut sim = TimeDriven::with_recorder(Cascade::new(seed), 0.5, MetricsRecorder::new());
+        sim.schedule(SimTime::ZERO, 1);
+        sim.run_until(SimTime::new(300.0));
+        assert_eq!(hooks(sim.recorder()), expected, "seed {seed}: hooks");
+        assert_eq!(
+            sim.into_model().fingerprint,
+            plain,
+            "seed {seed}: monitored"
+        );
     }
 }
 
@@ -175,6 +234,20 @@ fn trace_driven_traced_is_bit_identical() {
     let (traced, spans) = run(true);
     assert_eq!(plain, traced, "replayed+internal stream diverged");
     assert_eq!(spans, plain.len());
+    let mut sim = TraceDriven::with_recorder(
+        Replayer {
+            fingerprint: Vec::new(),
+        },
+        records.into_iter(),
+        MetricsRecorder::new(),
+    );
+    sim.run();
+    assert_eq!(hooks(sim.recorder()), [267, 267, 67, 67, 1], "hooks");
+    assert_eq!(
+        sim.into_model().fingerprint,
+        plain,
+        "monitored stream diverged"
+    );
 }
 
 /// Hybrid: exponential decay doubled by discrete events; fingerprints the
@@ -228,6 +301,17 @@ fn hybrid_traced_is_bit_identical() {
     assert_eq!(plain_log, traced_log, "event/state log diverged");
     assert_eq!(plain_y, traced_y, "final continuous state diverged");
     assert_eq!(spans, plain_log.len());
+    let mut sim = Hybrid::with_recorder(
+        Decay { log: Vec::new() },
+        vec![1.0],
+        0.1,
+        MetricsRecorder::new(),
+    );
+    sim.schedule(SimTime::new(0.5), 0);
+    sim.run_until(SimTime::new(40.0));
+    assert_eq!(hooks(sim.recorder()), [21, 410, 21, 21, 1], "hooks");
+    assert_eq!(sim.state(), plain_y, "monitored continuous state diverged");
+    assert_eq!(sim.into_parts().0.log, plain_log, "monitored log diverged");
 }
 
 /// Ring of LPs passing a token, for both parallel engines.
