@@ -52,9 +52,13 @@ impl FaultSchedule {
         FaultSchedule::default()
     }
 
-    /// Adds one event.
+    /// Adds one event. Panics on a bad time, or on a degrade factor that
+    /// is not finite and positive (the network would reject it mid-run).
     pub fn push(&mut self, at: f64, kind: FaultKind) -> &mut Self {
         assert!(at >= 0.0 && at.is_finite(), "bad fault time");
+        if let FaultKind::Link(LinkFault::Degrade { factor, .. }) = kind {
+            assert!(factor.is_finite() && factor > 0.0, "bad degrade factor");
+        }
         self.events.push(FaultEvent { at, kind });
         self
     }
@@ -146,6 +150,30 @@ mod tests {
                 factor: 1.0
             })
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "bad degrade factor")]
+    fn degrade_rejects_zero_factor() {
+        FaultSchedule::new().degrade(LinkId(0), 10.0, 5.0, 0.0);
+    }
+
+    #[test]
+    fn degrade_rejects_every_bad_factor_when_built() {
+        for factor in [-0.5, f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| {
+                FaultSchedule::new().degrade(LinkId(0), 10.0, 5.0, factor);
+            });
+            assert!(built.is_err(), "factor {factor} accepted");
+        }
+        let raw = std::panic::catch_unwind(|| {
+            let bad = LinkFault::Degrade {
+                link: LinkId(0),
+                factor: f64::NAN,
+            };
+            FaultSchedule::new().push(1.0, FaultKind::Link(bad));
+        });
+        assert!(raw.is_err(), "push accepted a NaN factor");
     }
 
     #[test]

@@ -158,12 +158,6 @@ struct Flow {
     requested: SimTime,
     active: bool,
     bytes: f64,
-    /// Scratch epoch: this flow is in the component being reshared.
-    mark: u64,
-    /// Scratch epoch: this flow's share was fixed by the current fill.
-    fixed: u64,
-    /// Rate computed by the current fill (applied only if it differs).
-    pending: f64,
 }
 
 /// Reusable per-reshare working memory, held by [`FlowNet`] so the hot
@@ -174,12 +168,34 @@ struct Flow {
 struct Scratch {
     /// Monotone reshare epoch; bumping it invalidates all stamps at once.
     epoch: u64,
-    /// Per-link: equals `epoch` when the link is in the current component.
+    /// Per-link: equals `epoch` when the link was queued by the current
+    /// component search (or staged by the current fault re-index).
     link_stamp: Vec<u64>,
-    /// Residual capacity per component link during progressive filling.
+    /// Component links, by link index; read off in ascending order.
+    link_bits: IndexBits,
+    /// Component flows the current fill has not fixed yet, by flow id.
+    flow_bits: IndexBits,
+    /// Per-link: the link's position in `comp_links` during a fill (its
+    /// position in `relinks` during a fault re-index).
+    link_pos: Vec<u32>,
+    /// Per flow slot: the rate the current fill assigned (applied only if
+    /// it differs).
+    rate: Vec<f64>,
+    /// Per component link, by position in `comp_links`: residual capacity
+    /// during progressive filling.
     cap: Vec<f64>,
-    /// Unassigned-flow count per component link during filling.
+    /// Per component link: flows not yet fixed.
     nflows: Vec<usize>,
+    /// Per component link: `cap / nflows`, recomputed whenever fixing a
+    /// flow changes either operand; `∞` once `nflows` is 0.
+    share: Vec<f64>,
+    /// Ascending positions whose share was the least when last scanned.
+    tied: Vec<usize>,
+    /// Per component link: how many flows the current round fixes on it
+    /// (0 outside the round).
+    fixing: Vec<u32>,
+    /// Component links the current round fixes flows on.
+    dirty: Vec<usize>,
     /// Links of the component(s) being reshared, ascending index.
     comp_links: Vec<usize>,
     /// Active flows of the component(s) being reshared, ascending id.
@@ -192,6 +208,133 @@ struct Scratch {
     changed_links: Vec<usize>,
     /// BFS worklist over the link↔flow bipartite graph.
     queue: Vec<usize>,
+    /// Fault re-index: links whose flow lists change, first-touch order.
+    relinks: Vec<usize>,
+    /// Fault re-index, per entry of `relinks`: the list's length as the
+    /// staged edits so far leave it.
+    relen: Vec<usize>,
+    /// Fault re-index: staged `(relinks position, edit)` list edits in the
+    /// order the flows were processed; an edit is `id << 1 | insert`.
+    reops: Vec<(u32, u64)>,
+    /// Fault re-index: the edits grouped by link (counting sort), each
+    /// link's still in processing order.
+    regrouped: Vec<u64>,
+    /// Fault re-index: where each link's edits start in `regrouped`; one
+    /// more entry closes the last link's.
+    restart: Vec<usize>,
+    /// Fault re-index: merge output for the list being rebuilt.
+    merged: Vec<u64>,
+    /// Every flow the fill fixed, in fix order, with its bottleneck link
+    /// and share bits (the differential test compares these).
+    #[cfg(test)]
+    trace: Vec<(usize, u64, u64)>,
+}
+
+/// A bitset over a dense index space that remembers the span of words
+/// set since its members were last read out or cleared, so reading them
+/// out in ascending order scans that span only: how `reshare` orders a
+/// component without sorting it.
+#[derive(Debug)]
+struct IndexBits {
+    words: Vec<u64>,
+    /// Lowest and highest word set since the span was last forgotten
+    /// (`lo > hi`: none).
+    lo: usize,
+    hi: usize,
+}
+
+impl Default for IndexBits {
+    fn default() -> Self {
+        IndexBits {
+            words: Vec::new(),
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+}
+
+impl IndexBits {
+    /// Makes room for indices `< n`.
+    fn grow(&mut self, n: usize) {
+        let need = n.div_ceil(64);
+        if self.words.len() < need {
+            self.words.resize(need, 0);
+        }
+    }
+
+    /// Sets bit `i`; `false` if it was already set.
+    #[inline]
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+        true
+    }
+
+    /// Clears bit `i`; `false` if it was not set.
+    #[inline]
+    fn remove(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let was = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        was
+    }
+
+    /// Hands every member to `emit` in ascending order and forgets the
+    /// span (the members stay).
+    fn read_ascending(&mut self, mut emit: impl FnMut(usize)) {
+        for w in self.lo..=self.hi {
+            let mut bits = self.words[w];
+            while bits != 0 {
+                emit(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
+    }
+
+    /// Removes the listed members (the only ones set) and forgets the
+    /// span, without scanning it.
+    fn clear_listed(&mut self, members: impl IntoIterator<Item = usize>) {
+        for i in members {
+            self.remove(i);
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
+    }
+}
+
+/// Collects into `out`, ascending, every position holding the least
+/// value of `xs`, and returns that value (`∞` with `out` empty when every
+/// value is `∞`; values are never NaN). The minimum is taken over
+/// independent lanes, which the compiler vectorizes.
+fn least_positions(xs: &[f64], out: &mut Vec<usize>) -> f64 {
+    const LANES: usize = 8;
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            if x < *m {
+                *m = x;
+            }
+        }
+    }
+    let mut least = f64::INFINITY;
+    for &x in lanes.iter().chain(chunks.remainder()) {
+        if x < least {
+            least = x;
+        }
+    }
+    out.clear();
+    if least < f64::INFINITY {
+        out.extend((0..xs.len()).filter(|&p| xs[p] == least));
+    }
+    least
 }
 
 /// Optional MonALISA-style monitoring attached to a [`FlowNet`]: per-link
@@ -252,6 +395,9 @@ pub struct FlowNet {
     reshare_count: u64,
     links_touched: u64,
     flows_touched: u64,
+    /// `Complete` events dropped because a later reshare superseded them
+    /// or their flow is gone.
+    stale_completions: u64,
 }
 
 impl FlowNet {
@@ -282,13 +428,18 @@ impl FlowNet {
             load: vec![0.0; n_links],
             scratch: Scratch {
                 link_stamp: vec![0; n_links],
-                cap: vec![0.0; n_links],
-                nflows: vec![0; n_links],
+                link_pos: vec![0; n_links],
+                link_bits: {
+                    let mut bits = IndexBits::default();
+                    bits.grow(n_links);
+                    bits
+                },
                 ..Scratch::default()
             },
             reshare_count: 0,
             links_touched: 0,
             flows_touched: 0,
+            stale_completions: 0,
         }
     }
 
@@ -370,6 +521,7 @@ impl FlowNet {
         reg.inc("net.flows_rerouted", self.rerouted);
         reg.inc("net.link_faults", self.faults_applied);
         reg.inc("net.reshare_count", self.reshare_count);
+        reg.inc("net.stale_completions", self.stale_completions);
         reg.inc("net.links_touched", self.links_touched);
         reg.inc("net.flows_touched", self.flows_touched);
         let (hits, misses) = self.route_cache_stats();
@@ -502,9 +654,6 @@ impl FlowNet {
             requested: sched.now(),
             active: false,
             bytes,
-            mark: 0,
-            fixed: 0,
-            pending: 0.0,
         });
         self.fmap.bind(id, slot);
         sched.schedule_in(latency, FlowEvent::Begin { flow: id });
@@ -589,67 +738,88 @@ impl FlowNet {
                         }
                     });
                     hit.sort_unstable();
+                    // the lists are edited once per link at the end
+                    // (`commit_reindex`); the load cache is updated now,
+                    // flow by flow and hop by hop, exactly as `unindex`
+                    // and `index` would
+                    self.scratch.epoch += 1;
                     for id in hit {
-                        let (src, dst, was_active) = {
-                            let Some(f) = self.fmap.get(id).and_then(|s| self.flows.get(s)) else {
+                        let Some((slot, f)) = self
+                            .fmap
+                            .get(id)
+                            .and_then(|slot| Some((slot, self.flows.get(slot)?)))
+                        else {
+                            debug_assert!(false, "hit-list flow vanished");
+                            continue;
+                        };
+                        let (src, dst, was_active) = (f.src, f.dst, f.active);
+                        // the cache was just invalidated: the first flow
+                        // of each (src, dst) pair misses, the rest hit
+                        let mut detour = self.spare_paths.pop().unwrap_or_default();
+                        let routed = self.route_cache.borrow_mut().path_into(
+                            &self.routing,
+                            &self.topo,
+                            src,
+                            dst,
+                            &mut detour,
+                        );
+                        self.advance_one(id, now);
+                        let Some(f) = self.flows.get_mut(slot) else {
+                            debug_assert!(false, "hit-list flow vanished");
+                            continue;
+                        };
+                        let rate = f.rate;
+                        let old = std::mem::take(&mut f.path);
+                        // a hop the detour keeps changes the load but
+                        // not the list
+                        if was_active {
+                            for &ol in &old {
+                                self.stage_unindex(ol.0, id, rate, detour.contains(&ol));
+                            }
+                        }
+                        if routed && !detour.is_empty() {
+                            for &ol in &old {
+                                self.scratch.seeds.push(ol.0);
+                            }
+                            for &nl in &detour {
+                                self.scratch.seeds.push(nl.0);
+                                if was_active {
+                                    self.stage_index(nl.0, id, rate, old.contains(&nl));
+                                }
+                            }
+                            // the generation is *not* bumped: if the
+                            // detour leaves the rate bit-identical the
+                            // pending completion stays valid, exactly
+                            // as the full recompute would conclude
+                            if let Some(f) = self.flows.get_mut(slot) {
+                                f.path = detour;
+                            }
+                            self.recycle_path(old);
+                            self.rerouted += 1;
+                            outcome.rerouted += 1;
+                        } else {
+                            self.recycle_path(detour);
+                            let Some(f) = self.remove_flow(id) else {
                                 debug_assert!(false, "hit-list flow vanished");
                                 continue;
                             };
-                            (f.src, f.dst, f.active)
-                        };
-                        // the cache was just invalidated: the first flow
-                        // of each (src, dst) pair misses, the rest hit
-                        match self.cached_path(src, dst) {
-                            Some(p) if !p.is_empty() => {
-                                self.advance_one(id, now);
-                                self.unindex(id);
-                                let Some(f) = self.fmap.get(id).and_then(|s| self.flows.get_mut(s))
-                                else {
-                                    debug_assert!(false, "hit-list flow vanished");
-                                    continue;
-                                };
-                                for &ol in &f.path {
+                            if was_active {
+                                for &ol in &old {
                                     self.scratch.seeds.push(ol.0);
                                 }
-                                for &nl in &p {
-                                    self.scratch.seeds.push(nl.0);
-                                }
-                                // the generation is *not* bumped: if the
-                                // detour leaves the rate bit-identical the
-                                // pending completion stays valid, exactly
-                                // as the full recompute would conclude
-                                let old = std::mem::replace(&mut f.path, p);
-                                self.recycle_path(old);
-                                self.index(id);
-                                self.rerouted += 1;
-                                outcome.rerouted += 1;
                             }
-                            _ => {
-                                self.advance_one(id, now);
-                                if was_active {
-                                    self.unindex(id);
-                                }
-                                let Some(mut f) = self.remove_flow(id) else {
-                                    debug_assert!(false, "hit-list flow vanished");
-                                    continue;
-                                };
-                                if was_active {
-                                    for &ol in &f.path {
-                                        self.scratch.seeds.push(ol.0);
-                                    }
-                                }
-                                self.recycle_path(std::mem::take(&mut f.path));
-                                self.aborted += 1;
-                                outcome.aborted.push(FlowAborted {
-                                    id: FlowId(id),
-                                    tag: f.tag,
-                                    bytes: f.bytes,
-                                    transferred: f.bytes - f.remaining,
-                                    requested: f.requested,
-                                });
-                            }
+                            self.recycle_path(old);
+                            self.aborted += 1;
+                            outcome.aborted.push(FlowAborted {
+                                id: FlowId(id),
+                                tag: f.tag,
+                                bytes: f.bytes,
+                                transferred: f.bytes - f.remaining,
+                                requested: f.requested,
+                            });
                         }
                     }
+                    self.commit_reindex();
                 }
             }
             LinkFault::Up(l) => {
@@ -792,6 +962,7 @@ impl FlowNet {
             FlowEvent::Complete { flow, gen } => {
                 let now = sched.now();
                 let Some(slot) = self.fmap.get(flow) else {
+                    self.stale_completions += 1;
                     return;
                 };
                 {
@@ -799,9 +970,11 @@ impl FlowNet {
                     // and `unindex` (same arithmetic, same order) while the
                     // flow is still borrowed
                     let Some(f) = self.flows.get_mut(slot) else {
+                        self.stale_completions += 1;
                         return;
                     };
                     if f.gen != gen || !f.active {
+                        self.stale_completions += 1;
                         return;
                     }
                     let dt = now - f.last_update;
@@ -901,29 +1074,6 @@ impl FlowNet {
         }
     }
 
-    /// Inserts an active flow into the per-link index and load cache.
-    fn index(&mut self, id: u64) {
-        let Some(f) = self.fmap.get(id).and_then(|s| self.flows.get(s)) else {
-            debug_assert!(false, "indexing a missing flow");
-            return;
-        };
-        if !f.active {
-            return;
-        }
-        let rate = f.rate;
-        for &l in &f.path {
-            let v = &mut self.link_flows[l.0];
-            match v.binary_search(&id) {
-                Err(pos) => v.insert(pos, id),
-                Ok(_) => debug_assert!(false, "flow already in link index"),
-            }
-            if rate != 0.0 {
-                self.load[l.0] += rate;
-                self.scratch.changed_links.push(l.0);
-            }
-        }
-    }
-
     /// Removes an active flow from the per-link index and load cache,
     /// snapping a link's load to exactly zero when its last flow leaves.
     fn unindex(&mut self, id: u64) {
@@ -950,6 +1100,109 @@ impl FlowNet {
         }
     }
 
+    /// Position of link `l` in the current fault re-index, registering
+    /// the link (with its list's current length) on first touch.
+    fn relink(&mut self, l: usize) -> usize {
+        let s = &mut self.scratch;
+        if s.link_stamp[l] != s.epoch {
+            s.link_stamp[l] = s.epoch;
+            s.link_pos[l] = s.relinks.len() as u32;
+            s.relinks.push(l);
+            s.relen.push(self.link_flows[l].len());
+        }
+        s.link_pos[l] as usize
+    }
+
+    /// `unindex` for one hop of a fault re-index: the load cache changes
+    /// now (snapped to zero when the staged list would be empty) and the
+    /// list edit is staged for [`FlowNet::commit_reindex`], unless the
+    /// flow `stays` on the link.
+    fn stage_unindex(&mut self, l: usize, id: u64, rate: f64, stays: bool) {
+        let t = self.relink(l);
+        let s = &mut self.scratch;
+        s.relen[t] -= 1;
+        self.load[l] -= rate;
+        if s.relen[t] == 0 {
+            self.load[l] = 0.0;
+        }
+        s.changed_links.push(l);
+        if !stays {
+            s.reops.push((t as u32, id << 1));
+        }
+    }
+
+    /// `index` for one hop of a fault re-index (see `stage_unindex`).
+    fn stage_index(&mut self, l: usize, id: u64, rate: f64, stays: bool) {
+        let t = self.relink(l);
+        let s = &mut self.scratch;
+        s.relen[t] += 1;
+        if rate != 0.0 {
+            self.load[l] += rate;
+            s.changed_links.push(l);
+        }
+        if !stays {
+            s.reops.push((t as u32, id << 1 | 1));
+        }
+    }
+
+    /// Applies the staged list edits: each list with edits is rebuilt by
+    /// one merge of the old list with them. Flows were processed in
+    /// ascending id order, so each link's edits come out of the stable
+    /// grouping already in merge order.
+    fn commit_reindex(&mut self) {
+        let s = &mut self.scratch;
+        let links = s.relinks.len();
+        s.restart.clear();
+        s.restart.resize(links + 1, 0);
+        for &(t, _) in &s.reops {
+            s.restart[t as usize + 1] += 1;
+        }
+        for t in 0..links {
+            s.restart[t + 1] += s.restart[t];
+        }
+        // `relen` is spent: reuse it as the per-link fill cursor
+        s.relen.clear();
+        s.relen.extend_from_slice(&s.restart[..links]);
+        s.regrouped.clear();
+        s.regrouped.resize(s.reops.len(), 0);
+        for &(t, edit) in &s.reops {
+            s.regrouped[s.relen[t as usize]] = edit;
+            s.relen[t as usize] += 1;
+        }
+        for t in 0..links {
+            let edits = &s.regrouped[s.restart[t]..s.restart[t + 1]];
+            if edits.is_empty() {
+                continue;
+            }
+            let list = &mut self.link_flows[s.relinks[t]];
+            s.merged.clear();
+            let mut i = 0;
+            for &edit in edits {
+                let id = edit >> 1;
+                while i < list.len() && list[i] < id {
+                    s.merged.push(list[i]);
+                    i += 1;
+                }
+                if edit & 1 == 1 {
+                    debug_assert!(list.get(i) != Some(&id), "flow already in link index");
+                    s.merged.push(id);
+                } else if list.get(i) == Some(&id) {
+                    i += 1;
+                } else {
+                    debug_assert!(false, "active flow missing from link index");
+                }
+            }
+            s.merged.extend_from_slice(&list[i..]);
+            // copied back rather than swapped, so each list keeps a
+            // capacity of its own size
+            list.clear();
+            list.extend_from_slice(&s.merged);
+        }
+        s.relinks.clear();
+        s.relen.clear();
+        s.reops.clear();
+    }
+
     /// Recomputes max-min fair rates for the dirty scope and reschedules
     /// completions of the flows whose rate actually changed.
     ///
@@ -965,74 +1218,7 @@ impl FlowNet {
     /// changed), which is what makes the two modes bit-identical.
     fn reshare(&mut self, now: SimTime, sched: &mut impl Schedule<FlowEvent>) {
         self.reshare_count += 1;
-        self.scratch.epoch += 1;
-        let epoch = self.scratch.epoch;
-        self.scratch.comp_links.clear();
-        self.scratch.comp_flows.clear();
-        match self.sharing {
-            ShareMode::Full => {
-                self.scratch.seeds.clear();
-                for (li, fl) in self.link_flows.iter().enumerate() {
-                    if !fl.is_empty() {
-                        self.scratch.link_stamp[li] = epoch;
-                        self.scratch.comp_links.push(li);
-                    }
-                }
-                // id-sorted sink: the slot-order slab scan feeds a sort
-                let mut ids: Vec<u64> = Vec::new();
-                self.flows.for_each(|_, f| {
-                    if f.active {
-                        ids.push(f.id);
-                    }
-                });
-                ids.sort_unstable();
-                for &id in &ids {
-                    let Some(f) = self.fmap.get(id).and_then(|s| self.flows.get_mut(s)) else {
-                        debug_assert!(false, "active flow vanished during scan");
-                        continue;
-                    };
-                    f.mark = epoch;
-                }
-                self.scratch.comp_flows = ids;
-            }
-            ShareMode::Incremental => {
-                // component search over the link↔flow bipartite graph
-                self.scratch.queue.clear();
-                while let Some(l) = self.scratch.seeds.pop() {
-                    if self.scratch.link_stamp[l] != epoch {
-                        self.scratch.link_stamp[l] = epoch;
-                        self.scratch.queue.push(l);
-                    }
-                }
-                while let Some(l) = self.scratch.queue.pop() {
-                    if self.link_flows[l].is_empty() {
-                        continue;
-                    }
-                    self.scratch.comp_links.push(l);
-                    for &fid in &self.link_flows[l] {
-                        let Some(f) = self.fmap.get(fid).and_then(|s| self.flows.get_mut(s)) else {
-                            debug_assert!(false, "indexed flow vanished");
-                            continue;
-                        };
-                        if f.mark == epoch {
-                            continue;
-                        }
-                        f.mark = epoch;
-                        self.scratch.comp_flows.push(fid);
-                        for &l2 in &f.path {
-                            if self.scratch.link_stamp[l2.0] != epoch {
-                                self.scratch.link_stamp[l2.0] = epoch;
-                                self.scratch.queue.push(l2.0);
-                            }
-                        }
-                    }
-                }
-                // ascending order: the fill scans links (and fixes flows)
-                // in exactly the per-component order a full scan would
-                self.scratch.comp_links.sort_unstable();
-                self.scratch.comp_flows.sort_unstable();
-            }
-        }
+        self.find_component();
         self.links_touched += self.scratch.comp_links.len() as u64;
         self.flows_touched += self.scratch.comp_flows.len() as u64;
         if self.scratch.comp_flows.is_empty() {
@@ -1041,7 +1227,110 @@ impl FlowNet {
             // fill and apply scaffolding outright
             return;
         }
+        self.fill();
+        self.apply_pending(now, sched);
+    }
 
+    /// Collects the scope of the next fill into `comp_links` and
+    /// `comp_flows`. Membership is recorded in `link_bits`/`flow_bits`, so
+    /// a revisit costs one bit test and the ascending orders the fill
+    /// needs come from one scan of each bitset. When the scope holds two
+    /// or more flows, their bits stay set for the fill to clear as it
+    /// fixes them; otherwise every bit is cleared here.
+    fn find_component(&mut self) {
+        let s = &mut self.scratch;
+        s.epoch += 1;
+        let epoch = s.epoch;
+        s.comp_links.clear();
+        s.comp_flows.clear();
+        s.flow_bits.grow(self.next_id as usize);
+        match self.sharing {
+            ShareMode::Full => {
+                s.seeds.clear();
+                for (li, fl) in self.link_flows.iter().enumerate() {
+                    if !fl.is_empty() {
+                        s.link_bits.insert(li);
+                        s.comp_links.push(li);
+                    }
+                }
+                self.flows.for_each(|_, f| {
+                    if f.active {
+                        s.flow_bits.insert(f.id as usize);
+                        s.comp_flows.push(f.id);
+                    }
+                });
+            }
+            ShareMode::Incremental => {
+                // component search over the link↔flow bipartite graph
+                s.queue.clear();
+                while let Some(l) = s.seeds.pop() {
+                    if s.link_stamp[l] != epoch {
+                        s.link_stamp[l] = epoch;
+                        s.queue.push(l);
+                    }
+                }
+                while let Some(l) = s.queue.pop() {
+                    if self.link_flows[l].is_empty() {
+                        continue;
+                    }
+                    s.link_bits.insert(l);
+                    s.comp_links.push(l);
+                    for &fid in &self.link_flows[l] {
+                        if !s.flow_bits.insert(fid as usize) {
+                            continue;
+                        }
+                        s.comp_flows.push(fid);
+                        let Some(f) = self.fmap.get(fid).and_then(|slot| self.flows.get(slot))
+                        else {
+                            debug_assert!(false, "indexed flow vanished");
+                            continue;
+                        };
+                        for &l2 in &f.path {
+                            if s.link_stamp[l2.0] != epoch {
+                                s.link_stamp[l2.0] = epoch;
+                                s.queue.push(l2.0);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if s.comp_flows.len() > 1 {
+            // ascending order: the fill scans links (and fixes flows) in
+            // exactly the per-component order a full scan would
+            s.comp_links.clear();
+            s.link_bits.read_ascending(|l| s.comp_links.push(l));
+            s.comp_flows.clear();
+            s.flow_bits
+                .read_ascending(|id| s.comp_flows.push(id as u64));
+        } else {
+            // one flow or none: order is moot and there is nothing to fix
+            s.flow_bits
+                .clear_listed(s.comp_flows.iter().map(|&id| id as usize));
+        }
+        s.link_bits.clear_listed(s.comp_links.iter().copied());
+    }
+
+    /// Progressive filling over the *effective* (fault-adjusted) caps of
+    /// the component [`FlowNet::find_component`] collected: repeatedly
+    /// saturate the bottleneck link (minimal fair share, lowest index on a
+    /// tie), fixing its unassigned flows. Writes each flow's rate into
+    /// `rate` at its slot.
+    ///
+    /// Each component link's share `cap / n` sits in a contiguous array
+    /// and is recomputed only when fixing a flow changes its `cap` or `n`,
+    /// from the same operands the per-round recomputation would use, so
+    /// the bits are the same. The bottleneck is the first position holding
+    /// the least share, which is the link a strict `<` scan in ascending
+    /// link order picks. A scan records every position holding the least
+    /// share (`tied`); later rounds take the next one still holding it, and
+    /// scan again only once none is left or a recomputed share comes out
+    /// at or below it.
+    fn fill(&mut self) {
+        let slots = self.flows.slot_bound() as usize;
+        if self.scratch.rate.len() < slots {
+            self.scratch.rate.resize(slots, 0.0);
+        }
         if let [fid] = self.scratch.comp_flows[..] {
             // single-flow component: every component link carries exactly
             // this one flow, so the generic fill would compute each link's
@@ -1054,92 +1343,142 @@ impl FlowNet {
                     share = cap;
                 }
             }
-            let Some(f) = self.fmap.get(fid).and_then(|s| self.flows.get_mut(s)) else {
+            let Some(slot) = self.fmap.get(fid) else {
                 debug_assert!(false, "flow vanished during fill");
                 return;
             };
-            f.pending = share;
-            self.apply_pending(now, sched);
+            self.scratch.rate[slot as usize] = share;
             return;
         }
 
-        // progressive filling over the *effective* (fault-adjusted) caps,
-        // restricted to the component: repeatedly saturate the bottleneck
-        // link (minimal fair share), fixing its unassigned flows
-        for i in 0..self.scratch.comp_links.len() {
-            let li = self.scratch.comp_links[i];
-            self.scratch.cap[li] = self.effective_bandwidth(LinkId(li));
-            self.scratch.nflows[li] = self.link_flows[li].len();
+        {
+            let s = &mut self.scratch;
+            s.cap.clear();
+            s.nflows.clear();
+            s.share.clear();
+            s.fixing.clear();
         }
-        let mut unassigned = self.scratch.comp_flows.len();
+        for p in 0..self.scratch.comp_links.len() {
+            let li = self.scratch.comp_links[p];
+            let cap = self.effective_bandwidth(LinkId(li));
+            let n = self.link_flows[li].len();
+            // caps are finite (finite bandwidth × finite factor), so every
+            // loaded link's share is finite and `∞` marks an exhausted one
+            debug_assert!(cap.is_finite(), "link {li}: capacity {cap}");
+            let s = &mut self.scratch;
+            s.link_pos[li] = p as u32;
+            s.cap.push(cap);
+            s.nflows.push(n);
+            s.share.push(cap / n as f64);
+            s.fixing.push(0);
+        }
+        let s = &mut self.scratch;
+        let mut unassigned = s.comp_flows.len();
+        // every live share is at least `least`; `tied[next..]` holds, in
+        // ascending order, the positions equal to it plus positions whose
+        // share rose since the scan (skipped here)
+        let (mut least, mut next) = (f64::INFINITY, 0);
+        s.tied.clear();
         while unassigned > 0 {
-            let mut best: Option<(f64, usize)> = None;
-            for &li in &self.scratch.comp_links {
-                let n = self.scratch.nflows[li];
-                if n > 0 {
-                    let share = self.scratch.cap[li] / n as f64;
-                    if best.is_none_or(|(s, _)| share < s) {
-                        best = Some((share, li));
-                    }
-                }
+            while next < s.tied.len() && s.share[s.tied[next]] != least {
+                next += 1;
             }
-            let Some((share, bottleneck)) = best else {
+            if next == s.tied.len() {
+                least = least_positions(&s.share, &mut s.tied);
+                next = 0;
+            }
+            let Some(&at) = s.tied.get(next) else {
                 debug_assert!(false, "unassigned flows but no loaded link");
                 break;
             };
+            let (bottleneck, share) = (s.comp_links[at], s.share[at]);
             // fix every unassigned flow crossing the bottleneck, in
             // ascending id order (link_flows lists are kept sorted)
-            self.scratch.batch.clear();
+            s.batch.clear();
             for &fid in &self.link_flows[bottleneck] {
-                let unfixed = self
-                    .fmap
-                    .get(fid)
-                    .and_then(|s| self.flows.get(s))
-                    .is_some_and(|f| f.fixed != epoch);
-                if unfixed {
-                    self.scratch.batch.push(fid);
+                if s.flow_bits.remove(fid as usize) {
+                    s.batch.push(fid);
                 }
             }
-            debug_assert!(!self.scratch.batch.is_empty());
-            for i in 0..self.scratch.batch.len() {
-                let fid = self.scratch.batch[i];
-                let Some(f) = self.fmap.get(fid).and_then(|s| self.flows.get_mut(s)) else {
+            debug_assert!(!s.batch.is_empty());
+            for &fid in &s.batch {
+                let Some(slot) = self.fmap.get(fid) else {
                     debug_assert!(false, "flow vanished during fill");
                     continue;
                 };
-                f.fixed = epoch;
-                f.pending = share;
+                #[cfg(test)]
+                s.trace.push((bottleneck, share.to_bits(), fid));
+                s.rate[slot as usize] = share;
                 unassigned -= 1;
+                let Some(f) = self.flows.get(slot) else {
+                    continue;
+                };
                 for &l in &f.path {
-                    self.scratch.cap[l.0] -= share;
-                    if self.scratch.cap[l.0] < 0.0 {
-                        self.scratch.cap[l.0] = 0.0; // guard accumulated rounding
+                    let p = s.link_pos[l.0] as usize;
+                    if s.fixing[p] == 0 {
+                        s.dirty.push(p);
                     }
-                    self.scratch.nflows[l.0] -= 1;
+                    s.fixing[p] += 1;
                 }
             }
+            // one subtraction per fixed flow, as if flow by flow: only
+            // the count matters, since every flow of the round is fixed
+            // at the same share (an exhausted link's cap is never read)
+            let mut lowest = f64::INFINITY;
+            for &p in &s.dirty {
+                let fixed = std::mem::take(&mut s.fixing[p]);
+                s.nflows[p] -= fixed as usize;
+                if s.nflows[p] == 0 {
+                    s.share[p] = f64::INFINITY;
+                    continue;
+                }
+                let mut cap = s.cap[p];
+                for _ in 0..fixed {
+                    cap -= share;
+                    if cap < 0.0 {
+                        cap = 0.0; // guard accumulated rounding
+                    }
+                }
+                s.cap[p] = cap;
+                s.share[p] = cap / s.nflows[p] as f64;
+                if s.share[p] < lowest {
+                    lowest = s.share[p];
+                }
+            }
+            s.dirty.clear();
+            if lowest <= least {
+                // a recomputed share may now be (or tie) the least
+                next = s.tied.len();
+            }
         }
-
-        self.apply_pending(now, sched);
+        if unassigned > 0 {
+            s.flow_bits
+                .clear_listed(s.comp_flows.iter().map(|&id| id as usize));
+        }
     }
 
-    /// Applies the rates computed into `pending` by the current fill and
-    /// reschedules completions, ascending flow id over the component:
-    /// scheduling order assigns engine sequence numbers, which break ties
-    /// between equal-time events. Flows whose freshly computed rate is
-    /// bit-equal to their current rate are left entirely alone — no
-    /// progress charge, no generation bump, no reschedule — so their
-    /// pending completion events survive verbatim.
+    /// Applies the rates the current fill computed and reschedules
+    /// completions, ascending flow id over the component: scheduling
+    /// order assigns engine sequence numbers, which break ties between
+    /// equal-time events. Flows whose freshly computed rate is bit-equal
+    /// to their current rate are left entirely alone — no progress
+    /// charge, no generation bump, no reschedule — so their pending
+    /// completion events survive verbatim.
     fn apply_pending(&mut self, now: SimTime, sched: &mut impl Schedule<FlowEvent>) {
         for i in 0..self.scratch.comp_flows.len() {
             let fid = self.scratch.comp_flows[i];
             // one lookup: check, then inline `advance_one` (the flow is in
             // the component, hence active) and the rate switch
-            let Some(f) = self.fmap.get(fid).and_then(|s| self.flows.get_mut(s)) else {
+            let Some((slot, f)) = self
+                .fmap
+                .get(fid)
+                .and_then(|slot| Some((slot, self.flows.get_mut(slot)?)))
+            else {
                 debug_assert!(false, "flow vanished before reschedule");
                 continue;
             };
-            if f.pending.to_bits() == f.rate.to_bits() {
+            let new = self.scratch.rate[slot as usize];
+            if new.to_bits() == f.rate.to_bits() {
                 continue;
             }
             let dt = now - f.last_update;
@@ -1151,13 +1490,12 @@ impl FlowNet {
                 }
             }
             let old = f.rate;
-            f.rate = f.pending;
+            f.rate = new;
             f.gen += 1;
             f.last_update = now;
             debug_assert!(f.rate > 0.0, "active flow with zero rate");
             let eta = f.remaining / f.rate;
             let gen = f.gen;
-            let new = f.rate;
             for &l in &f.path {
                 self.load[l.0] = self.load[l.0] - old + new;
                 self.scratch.changed_links.push(l.0);
@@ -1506,6 +1844,337 @@ mod tests {
             net.spare_paths.len(),
             net.flows.slot_bound()
         );
+    }
+
+    #[test]
+    fn superseded_completion_is_counted_stale() {
+        // A and B share link a→m; B also crosses m→b at half the capacity,
+        // which caps it at C/2 whatever A does. A begins alone at C, then
+        // B's arrival halves A's rate: A's first prediction is stale. A
+        // finishes early and B's rate stays C/2 bit for bit, so B's one
+        // prediction holds. Exactly one completion is dropped.
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Host, "a");
+        let m = t.add_node(NodeKind::Router, "m");
+        let b = t.add_node(NodeKind::Host, "b");
+        t.add_link(a, m, 10.0e6, 0.0);
+        t.add_link(m, b, 5.0e6, 0.0);
+        let (done, net) = run_plan(t, vec![(0.0, a, m, 10.0e6, 1), (0.0, a, b, 50.0e6, 2)]);
+        assert_eq!(done.len(), 2);
+        // A: 10 MB at 5 MB/s; B: 50 MB at 5 MB/s throughout
+        assert!((done[0].finished.seconds() - 2.0).abs() < 1e-9, "{done:?}");
+        assert!((done[1].finished.seconds() - 10.0).abs() < 1e-9, "{done:?}");
+        assert_eq!(net.stale_completions, 1);
+        let mut reg = Registry::new();
+        net.export_metrics(&mut reg);
+        assert_eq!(reg.counter("net.stale_completions"), 1);
+    }
+
+    /// What one component search and fill produced: the component's links
+    /// and flows (ascending), each flow's rate bits, and every fixed flow
+    /// in fix order with its bottleneck link and share bits.
+    #[derive(Debug, PartialEq)]
+    struct Filled {
+        links: Vec<usize>,
+        flows: Vec<u64>,
+        rates: Vec<u64>,
+        trace: Vec<(usize, u64, u64)>,
+    }
+
+    /// The sort-based component search and progressive fill `reshare`
+    /// ran before the bitset and cached-share rewrite, kept as the
+    /// reference the new code must match bit for bit. Reads the net and
+    /// writes nothing. Also returns how many rounds had a tie for the
+    /// minimum share, for the coverage checks.
+    fn reference_fill(net: &FlowNet, seeds: &[usize]) -> (Filled, usize) {
+        let flow = |id: u64| &net.flows[net.fmap.get(id).unwrap()];
+        let n_links = net.topo.link_count();
+        let mut comp_links = Vec::new();
+        let mut comp_flows = Vec::new();
+        match net.sharing {
+            ShareMode::Full => {
+                for (li, fl) in net.link_flows.iter().enumerate() {
+                    if !fl.is_empty() {
+                        comp_links.push(li);
+                    }
+                }
+                net.flows.for_each(|_, f| {
+                    if f.active {
+                        comp_flows.push(f.id);
+                    }
+                });
+                comp_flows.sort_unstable();
+            }
+            ShareMode::Incremental => {
+                let mut stamped = vec![false; n_links];
+                let mut marked = std::collections::HashSet::new();
+                let mut queue = Vec::new();
+                for &l in seeds {
+                    if !stamped[l] {
+                        stamped[l] = true;
+                        queue.push(l);
+                    }
+                }
+                while let Some(l) = queue.pop() {
+                    if net.link_flows[l].is_empty() {
+                        continue;
+                    }
+                    comp_links.push(l);
+                    for &fid in &net.link_flows[l] {
+                        if !marked.insert(fid) {
+                            continue;
+                        }
+                        comp_flows.push(fid);
+                        for &l2 in &flow(fid).path {
+                            if !stamped[l2.0] {
+                                stamped[l2.0] = true;
+                                queue.push(l2.0);
+                            }
+                        }
+                    }
+                }
+                comp_links.sort_unstable();
+                comp_flows.sort_unstable();
+            }
+        }
+        let mut pending = std::collections::HashMap::new();
+        let mut trace = Vec::new();
+        let mut ties = 0;
+        if let [fid] = comp_flows[..] {
+            let mut share = f64::INFINITY;
+            for &li in &comp_links {
+                let cap = net.effective_bandwidth(LinkId(li));
+                if cap < share {
+                    share = cap;
+                }
+            }
+            pending.insert(fid, share);
+        } else if !comp_flows.is_empty() {
+            let mut cap = vec![0.0; n_links];
+            let mut nflows = vec![0usize; n_links];
+            for &li in &comp_links {
+                cap[li] = net.effective_bandwidth(LinkId(li));
+                nflows[li] = net.link_flows[li].len();
+            }
+            let mut unassigned = comp_flows.len();
+            while unassigned > 0 {
+                let mut best: Option<(f64, usize)> = None;
+                for &li in &comp_links {
+                    let n = nflows[li];
+                    if n > 0 {
+                        let share = cap[li] / n as f64;
+                        if best.is_some_and(|(s, _)| share == s) {
+                            ties += 1;
+                        }
+                        if best.is_none_or(|(s, _)| share < s) {
+                            best = Some((share, li));
+                        }
+                    }
+                }
+                let (share, bottleneck) = best.expect("unassigned flows but no loaded link");
+                let batch: Vec<u64> = net.link_flows[bottleneck]
+                    .iter()
+                    .copied()
+                    .filter(|id| !pending.contains_key(id))
+                    .collect();
+                for fid in batch {
+                    pending.insert(fid, share);
+                    trace.push((bottleneck, share.to_bits(), fid));
+                    unassigned -= 1;
+                    for &l in &flow(fid).path {
+                        cap[l.0] -= share;
+                        if cap[l.0] < 0.0 {
+                            cap[l.0] = 0.0;
+                        }
+                        nflows[l.0] -= 1;
+                    }
+                }
+            }
+        }
+        let rates = comp_flows.iter().map(|id| pending[id].to_bits()).collect();
+        let filled = Filled {
+            links: comp_links,
+            flows: comp_flows,
+            rates,
+            trace,
+        };
+        (filled, ties)
+    }
+
+    /// The production component search and fill on the same state.
+    fn new_fill(net: &mut FlowNet, seeds: &[usize]) -> Filled {
+        net.scratch.seeds.extend_from_slice(seeds);
+        net.scratch.trace.clear();
+        net.find_component();
+        if !net.scratch.comp_flows.is_empty() {
+            net.fill();
+        }
+        let flows = net.scratch.comp_flows.clone();
+        let rates = flows
+            .iter()
+            .map(|&id| net.scratch.rate[net.fmap.get(id).unwrap() as usize].to_bits())
+            .collect();
+        let mut links = net.scratch.comp_links.clone();
+        if flows.len() < 2 {
+            // a one-flow component keeps its search order: nothing reads it
+            links.sort_unstable();
+        }
+        Filled {
+            links,
+            flows,
+            rates,
+            trace: std::mem::take(&mut net.scratch.trace),
+        }
+    }
+
+    /// Puts an active flow with the given path straight into the link
+    /// index. Paths need not be routes: the fill reads only the lists.
+    fn install(net: &mut FlowNet, path: Vec<LinkId>) -> u64 {
+        let id = net.next_id;
+        net.next_id += 1;
+        for &l in &path {
+            let v = &mut net.link_flows[l.0];
+            let pos = v.binary_search(&id).unwrap_err();
+            v.insert(pos, id);
+        }
+        let slot = net.flows.insert(Flow {
+            id,
+            src: NodeId(0),
+            dst: NodeId(1),
+            path,
+            remaining: 1.0,
+            rate: 0.0,
+            last_update: SimTime::ZERO,
+            gen: 0,
+            tag: id,
+            requested: SimTime::ZERO,
+            active: true,
+            bytes: 1.0,
+        });
+        net.fmap.bind(id, slot);
+        id
+    }
+
+    /// A seeded fill scenario over parallel links between two nodes (the
+    /// fill never looks at endpoints). Kinds: 0 a giant two-path-core
+    /// component with equal-capacity access links; 1 random short paths
+    /// over a few capacities; 2 mostly one-flow components. Every kind
+    /// also gets degraded links, down links (share 0) and churn, so slot
+    /// order differs from id order. Returns the net and the seeds.
+    fn fill_scenario(seed: u64) -> (FlowNet, Vec<usize>) {
+        let mut rng = lsds_stats::SimRng::new(seed);
+        let kind = seed % 3;
+        let side = 3 + rng.next_below(6) as usize;
+        let n_links = match kind {
+            0 => 4 + 2 * side,
+            1 => 4 + rng.next_below(20) as usize,
+            _ => 24,
+        };
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::Host, "a");
+        let b = t.add_node(NodeKind::Host, "b");
+        for l in 0..n_links {
+            let bw = match kind {
+                // a core that limits a flow only when `seed` says so
+                0 if l < 4 => [2.5e9, 40.0e6][(seed / 3 % 2) as usize],
+                0 => 12.5e6,
+                _ => [10.0e6, 10.0e6, 20.0e6, 30.0e6][rng.next_below(4) as usize],
+            };
+            t.add_link(a, b, bw, 0.0);
+        }
+        let mut net = FlowNet::new(t);
+        if seed % 4 == 3 {
+            net.set_share_mode(ShareMode::Full);
+        }
+        let path = |rng: &mut lsds_stats::SimRng| -> Vec<LinkId> {
+            match kind {
+                0 => {
+                    let core = 2 * rng.next_below(2) as usize;
+                    let src = 4 + rng.next_below(side as u64) as usize;
+                    let dst = 4 + side + rng.next_below(side as u64) as usize;
+                    vec![LinkId(src), LinkId(core), LinkId(core + 1), LinkId(dst)]
+                }
+                1 => {
+                    let hops = 1 + rng.next_below(4) as usize;
+                    let mut p: Vec<LinkId> = Vec::new();
+                    while p.len() < hops.min(n_links) {
+                        let l = LinkId(rng.next_below(n_links as u64) as usize);
+                        if !p.contains(&l) {
+                            p.push(l);
+                        }
+                    }
+                    p
+                }
+                _ => {
+                    // private links 0..16 carry one flow each (most of
+                    // the time); 16.. are shared
+                    let l = rng.next_below(n_links as u64) as usize;
+                    if l < 16 || rng.next_below(2) == 0 {
+                        vec![LinkId(l)]
+                    } else {
+                        vec![LinkId(l), LinkId(16 + (l + 1) % 8)]
+                    }
+                }
+            }
+        };
+        let flows = match kind {
+            0 => 10 + rng.next_below(80) as usize,
+            1 => 2 + rng.next_below(40) as usize,
+            _ => 4 + rng.next_below(12) as usize,
+        };
+        let mut live = Vec::new();
+        for _ in 0..flows {
+            let p = path(&mut rng);
+            live.push(install(&mut net, p));
+        }
+        // churn: retire a third, then install as many again, so new ids
+        // take recycled slots
+        for _ in 0..flows / 3 {
+            let id = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+            net.unindex(id);
+            net.remove_flow(id).unwrap();
+        }
+        for _ in 0..flows / 3 {
+            let p = path(&mut rng);
+            live.push(install(&mut net, p));
+        }
+        for _ in 0..rng.next_below(3) {
+            let l = rng.next_below(n_links as u64) as usize;
+            net.degrade[l] = [0.5, 0.25, rng.range_f64(0.1, 0.9)][rng.next_below(3) as usize];
+        }
+        if rng.next_below(3) == 0 {
+            net.link_up[rng.next_below(n_links as u64) as usize] = false;
+        }
+        net.scratch.changed_links.clear();
+        let seeds = (0..1 + rng.next_below(3))
+            .map(|_| rng.next_below(n_links as u64) as usize)
+            .collect();
+        (net, seeds)
+    }
+
+    /// Differential test of the fill against the sort-based reference:
+    /// same component, same rate bits, same bottlenecks and fix order, on
+    /// seeded scenarios with exact share ties, degraded and down links,
+    /// exhausted links and one-flow components. A second fill on the same
+    /// state must agree too (no membership bit may outlive a fill).
+    #[test]
+    fn fill_matches_sort_based_reference() {
+        let (mut ties, mut singles, mut giants, mut zero_shares) = (0, 0, 0, 0);
+        for seed in 0..96u64 {
+            let (mut net, seeds) = fill_scenario(seed);
+            let (want, t) = reference_fill(&net, &seeds);
+            let got = new_fill(&mut net, &seeds);
+            assert_eq!(got, want, "scenario {seed}");
+            assert_eq!(new_fill(&mut net, &seeds), want, "scenario {seed}, refill");
+            ties += t;
+            singles += usize::from(want.flows.len() == 1);
+            giants += usize::from(want.flows.len() >= 40);
+            zero_shares += want.trace.iter().filter(|r| r.1 == 0).count();
+        }
+        assert!(ties >= 50, "{ties} tied rounds");
+        assert!(singles >= 5, "{singles} one-flow components");
+        assert!(giants >= 5, "{giants} giant components");
+        assert!(zero_shares >= 5, "{zero_shares} flows fixed at a down link");
     }
 
     #[test]

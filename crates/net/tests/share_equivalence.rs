@@ -327,3 +327,98 @@ fn monitored_runs_stay_bit_identical() {
         assert!(sampled, "trial {trial}: monitor recorded nothing");
     }
 }
+
+/// A small `flow_contention`-shaped network: `side` hosts behind each of
+/// two edge routers, joined by two two-hop core paths. Access links all
+/// have the same capacity (so fair shares tie exactly and the fill breaks
+/// ties by link index); the core never limits a flow.
+fn contention_topo(side: usize) -> (Topology, Vec<NodeId>, [LinkId; 4]) {
+    let mut t = Topology::new();
+    let left = t.add_node(NodeKind::Router, "left");
+    let right = t.add_node(NodeKind::Router, "right");
+    let mut core = Vec::new();
+    for m in 0..2 {
+        let mid = t.add_node(NodeKind::Router, format!("mid{m}"));
+        let (up, _) = t.add_duplex(left, mid, 2.5e9, 0.001);
+        let (down, _) = t.add_duplex(mid, right, 2.5e9, 0.001);
+        core.extend([up, down]);
+    }
+    let mut hosts = Vec::new();
+    for (edge, name) in [(left, "l"), (right, "r")] {
+        for i in 0..side {
+            let h = t.add_node(NodeKind::Host, format!("{name}{i}"));
+            t.add_duplex(h, edge, 12.5e6, 0.001);
+            hosts.push(h);
+        }
+    }
+    (t, hosts, [core[0], core[1], core[2], core[3]])
+}
+
+/// Runs the contention case and returns its per-event link-load digest
+/// plus the reroute and abort counts.
+fn contention_run(mode: ShareMode) -> (u64, u64, u64) {
+    let side = 6;
+    let (topo, hosts, core) = contention_topo(side);
+    let mut rng = SimRng::new(0xC0_4E);
+    let plan: Vec<(f64, NodeId, NodeId, f64)> = (0..60)
+        .map(|i| {
+            let at = 4.0 * (i as f64 + rng.next_f64()) / 60.0;
+            let (a, b) = (i % side, (i * 5 + i / side) % side);
+            let (src, dst) = if i % 4 == 3 {
+                (side + a, b)
+            } else {
+                (a, side + b)
+            };
+            (at, hosts[src], hosts[dst], rng.range_f64(2.0e7, 8.0e7))
+        })
+        .collect();
+    // single-link outages that alternate between the two core paths, then
+    // one double outage of both left→right links that aborts every
+    // left→right flow still in the system
+    let mut faults: Vec<(f64, LinkFault)> = Vec::new();
+    for k in 0..16 {
+        let link = core[(k % 2) * 2 + (k / 2) % 2];
+        let down = 1.0 + 1.5 * k as f64 + rng.range_f64(0.0, 0.4);
+        faults.push((down, LinkFault::Down(link)));
+        faults.push((down + rng.range_f64(0.2, 0.9), LinkFault::Up(link)));
+    }
+    for (link, at) in [(core[0], 12.0), (core[2], 12.1)] {
+        faults.push((at, LinkFault::Down(link)));
+        faults.push((at + 0.5, LinkFault::Up(link)));
+    }
+    let mut net = FlowNet::new(topo);
+    net.set_share_mode(mode);
+    let mut sim = EventDriven::new(Harness {
+        net,
+        done: vec![],
+        plan: plan.clone(),
+        no_route: 0,
+        digest: 0xCBF2_9CE4_8422_2325,
+        check_routes: false,
+    });
+    for (i, &(t, ..)) in plan.iter().enumerate() {
+        sim.schedule(SimTime::new(t), FEv::Kick(i));
+    }
+    for &(t, f) in &faults {
+        sim.schedule(SimTime::new(t), FEv::Fault(f));
+    }
+    sim.run();
+    let m = sim.into_model();
+    assert_eq!(m.net.in_flight(), 0, "run must drain");
+    (m.digest, m.net.rerouted(), m.net.aborted())
+}
+
+/// Both modes share one fill, so comparing them cannot catch a drift they
+/// share: pin the contention case's link-load digest (and its reroute and
+/// abort counts) to the values the sort-based fill produced.
+#[test]
+fn contention_digest_is_pinned_in_both_modes() {
+    for mode in [ShareMode::Incremental, ShareMode::Full] {
+        let got = contention_run(mode);
+        assert_eq!(
+            got,
+            (0xb539_43b0_be96_fc27, 305, 45),
+            "{mode:?}: trajectory drifted"
+        );
+    }
+}
