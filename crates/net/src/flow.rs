@@ -224,6 +224,9 @@ struct Scratch {
     restart: Vec<usize>,
     /// Fault re-index: merge output for the list being rebuilt.
     merged: Vec<u64>,
+    /// `LinkFault::Down`: ids of the flows crossing the failed link,
+    /// ascending.
+    crossing: Vec<u64>,
     /// Every flow the fill fixed, in fix order, with its bottleneck link
     /// and share bits (the differential test compares these).
     #[cfg(test)]
@@ -590,7 +593,8 @@ impl FlowNet {
     /// Propagation latency along the current route, served from the route
     /// cache. `None` when `dst` is unreachable from `src`.
     pub fn path_latency(&self, src: NodeId, dst: NodeId) -> Option<f64> {
-        let p = self.cached_path(src, dst)?;
+        let mut cache = self.route_cache.borrow_mut();
+        let p = cache.path_slice(&self.routing, &self.topo, src, dst)?;
         Some(p.iter().map(|&l| self.topo.link(l).latency).sum())
     }
 
@@ -731,7 +735,8 @@ impl FlowNet {
                     self.route_cache.borrow_mut().invalidate();
                     // sorted ids: abort/reroute order must be
                     // deterministic (the slot-order slab scan feeds a sort)
-                    let mut hit: Vec<u64> = Vec::new();
+                    let mut hit = std::mem::take(&mut self.scratch.crossing);
+                    hit.clear();
                     self.flows.for_each(|_, f| {
                         if f.path.contains(&l) {
                             hit.push(f.id);
@@ -743,7 +748,7 @@ impl FlowNet {
                     // flow by flow and hop by hop, exactly as `unindex`
                     // and `index` would
                     self.scratch.epoch += 1;
-                    for id in hit {
+                    for &id in &hit {
                         let Some((slot, f)) = self
                             .fmap
                             .get(id)
@@ -819,6 +824,7 @@ impl FlowNet {
                             });
                         }
                     }
+                    self.scratch.crossing = hit;
                     self.commit_reindex();
                 }
             }

@@ -19,6 +19,12 @@ use std::collections::HashMap;
 /// `O(Σ reachable)` over the sources a workload actually routes from.
 /// Laziness is invisible to results: each row is a pure function of the
 /// topology state, so query order cannot change any path.
+///
+/// A node with exactly one usable exit (self-loops aside) — a host on its
+/// access link — never gets a row: its Dijkstra would put that exit first
+/// for every node it reaches, so the lookup follows the chain of such
+/// nodes to the first one with a row or several exits and answers from
+/// there. After a fault, only the routers a detour crosses run Dijkstra.
 #[derive(Debug, Clone)]
 pub struct Routing {
     /// Link mask for fault-filtered routing (`None` = every link usable).
@@ -133,9 +139,72 @@ impl Rows {
         self.sources[src] = Some(reached.into_boxed_slice());
     }
 
-    /// First link from `src` toward `dst`, materializing the row on first
-    /// touch.
+    /// First link from `src` toward `dst`. A source with exactly one exit
+    /// runs no Dijkstra: it reaches every node through that exit, so its
+    /// row would hold the exit for exactly the nodes the exit's head
+    /// reaches, and [`Rows::reaches`] answers that from the head's side.
+    /// Any other source materializes its row on first touch.
     fn next_hop(
+        &mut self,
+        topo: &Topology,
+        usable: Option<&[bool]>,
+        src: usize,
+        dst: usize,
+    ) -> Option<LinkId> {
+        debug_assert_ne!(src, dst, "a row never holds its own source");
+        if self.sources[src].is_none() {
+            if let Some(exit) = sole_exit(topo, usable, src) {
+                let head = topo.link(exit).to.0;
+                return self.reaches(topo, usable, src, head, dst).then_some(exit);
+            }
+            self.materialize(topo, usable, src);
+        }
+        self.row_entry(src, dst)
+    }
+
+    /// Whether `dst` is reachable from `at`, the head of single-exit
+    /// `src`'s exit. Follows the chain of single-exit nodes from `at` to
+    /// the first node that has a row or other than one exit and reads that
+    /// node's row. A chain that comes back to `src`, or runs longer than
+    /// the node count (a one-way ring), has reached all it ever will.
+    fn reaches(
+        &mut self,
+        topo: &Topology,
+        usable: Option<&[bool]>,
+        src: usize,
+        mut at: usize,
+        dst: usize,
+    ) -> bool {
+        for _ in 0..self.sources.len() {
+            if at == dst {
+                return true;
+            }
+            if at == src {
+                return false;
+            }
+            if self.sources[at].is_none() {
+                if let Some(exit) = sole_exit(topo, usable, at) {
+                    at = topo.link(exit).to.0;
+                    continue;
+                }
+                self.materialize(topo, usable, at);
+            }
+            return self.row_entry(at, dst).is_some();
+        }
+        false
+    }
+
+    /// `dst`'s first link in `src`'s materialized row.
+    fn row_entry(&self, src: usize, dst: usize) -> Option<LinkId> {
+        let row = self.sources[src].as_deref()?;
+        let i = row.binary_search_by_key(&(dst as u32), |&(d, _)| d).ok()?;
+        Some(row[i].1)
+    }
+
+    /// The always-materialize lookup [`Rows::next_hop`] replaced, kept as
+    /// the differential tests' reference.
+    #[cfg(test)]
+    fn next_hop_reference(
         &mut self,
         topo: &Topology,
         usable: Option<&[bool]>,
@@ -145,10 +214,21 @@ impl Rows {
         if self.sources[src].is_none() {
             self.materialize(topo, usable, src);
         }
-        let row = self.sources[src].as_deref()?;
-        let i = row.binary_search_by_key(&(dst as u32), |&(d, _)| d).ok()?;
-        Some(row[i].1)
+        self.row_entry(src, dst)
     }
+}
+
+/// The one usable out-link of `v` that leads to another node, or `None`
+/// when `v` has none or several. Self-loops are not exits: Dijkstra never
+/// relaxes across one.
+fn sole_exit(topo: &Topology, usable: Option<&[bool]>, v: usize) -> Option<LinkId> {
+    let mut exits = topo
+        .out_links(NodeId(v))
+        .iter()
+        .copied()
+        .filter(|&l| usable.is_none_or(|mask| mask[l.0]) && topo.link(l).to.0 != v);
+    let exit = exits.next()?;
+    exits.next().is_none().then_some(exit)
 }
 
 impl Routing {
@@ -198,9 +278,19 @@ impl Routing {
         out: &mut Vec<LinkId>,
     ) -> bool {
         out.clear();
-        if src == dst {
-            return true;
-        }
+        self.extend_path(topo, src, dst, out)
+    }
+
+    /// Appends the path from `src` to `dst` to `out`, leaving `out` as it
+    /// was and returning `false` when `dst` is unreachable.
+    fn extend_path(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<LinkId>,
+    ) -> bool {
+        let start = out.len();
         // the walk consults each intermediate node's own row, exactly as
         // the eager table walk did
         let mut rows = self.rows.borrow_mut();
@@ -208,7 +298,7 @@ impl Routing {
         let mut guard = 0;
         while at != dst {
             let Some(lid) = rows.next_hop(topo, self.usable.as_deref(), at.0, dst.0) else {
-                out.clear();
+                out.truncate(start);
                 return false;
             };
             out.push(lid);
@@ -234,6 +324,9 @@ impl Routing {
     }
 }
 
+/// A memoized path's `(start, len)` in [`RouteCache`]'s arena.
+type Span = (u32, u32);
+
 /// Memoized [`Routing::path`] lookups keyed by `(src, dst)`.
 ///
 /// [`Routing`]'s tables store next *hops*; materializing a full path walks
@@ -245,15 +338,21 @@ impl Routing {
 /// The cache stores *negative* results too (`None` = unreachable), and
 /// must be [`RouteCache::invalidate`]d whenever the routing tables are
 /// rebuilt — in `FlowNet` that is exactly the fault paths
-/// (`apply_fault` down/up). A cache hit returns a clone of the stored
-/// path, bit-identical to what a fresh table walk would build, so cache-on
-/// and cache-off runs produce identical trajectories (property-tested in
-/// `tests/share_equivalence.rs`).
+/// (`apply_fault` down/up). Every memoized path lives back to back in one
+/// arena, so a miss appends to it and a hit copies a slice out of it; an
+/// invalidation empties both the map and the arena but keeps their
+/// capacity. A hit returns exactly the links a fresh table walk would
+/// produce, so cache-on and cache-off runs produce identical trajectories
+/// (property-tested in `tests/share_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     // keyed by raw node indices; never iterated, only probed, so the
-    // HashMap cannot leak iteration order into simulation state
-    map: HashMap<(usize, usize), Option<Vec<LinkId>>, std::hash::BuildHasherDefault<PairHasher>>,
+    // HashMap cannot leak iteration order into simulation state. A value
+    // is the path's `(start, len)` in `arena`, `None` = unreachable.
+    map: HashMap<(usize, usize), Option<Span>, std::hash::BuildHasherDefault<PairHasher>>,
+    /// Every memoized path, back to back; while the memo is off, the
+    /// scratch buffer of the current walk.
+    arena: Vec<LinkId>,
     hits: u64,
     misses: u64,
     enabled: bool,
@@ -302,6 +401,7 @@ impl RouteCache {
     pub fn new() -> Self {
         RouteCache {
             map: HashMap::default(),
+            arena: Vec::new(),
             hits: 0,
             misses: 0,
             enabled: true,
@@ -313,7 +413,7 @@ impl RouteCache {
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
-            self.map.clear();
+            self.invalidate();
         }
     }
 
@@ -325,17 +425,8 @@ impl RouteCache {
         src: NodeId,
         dst: NodeId,
     ) -> Option<Vec<LinkId>> {
-        if !self.enabled {
-            return routing.path(topo, src, dst);
-        }
-        if let Some(cached) = self.map.get(&(src.0, dst.0)) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        self.misses += 1;
-        let p = routing.path(topo, src, dst);
-        self.map.insert((src.0, dst.0), p.clone());
-        p
+        self.path_slice(routing, topo, src, dst)
+            .map(<[LinkId]>::to_vec)
     }
 
     /// Like [`RouteCache::path`] but copies the path into a caller-owned
@@ -350,33 +441,68 @@ impl RouteCache {
         dst: NodeId,
         out: &mut Vec<LinkId>,
     ) -> bool {
-        if !self.enabled {
-            return routing.path_into(topo, src, dst, out);
-        }
-        if let Some(cached) = self.map.get(&(src.0, dst.0)) {
-            self.hits += 1;
-            return match cached {
-                Some(p) => {
-                    out.clear();
-                    out.extend_from_slice(p);
-                    true
-                }
-                None => {
-                    out.clear();
-                    false
-                }
-            };
-        }
-        self.misses += 1;
-        let ok = routing.path_into(topo, src, dst, out);
-        self.map.insert((src.0, dst.0), ok.then(|| out.clone()));
-        ok
+        out.clear();
+        let Some(p) = self.path_slice(routing, topo, src, dst) else {
+            return false;
+        };
+        out.extend_from_slice(p);
+        true
     }
 
-    /// Drops every memoized entry. Call after rebuilding the [`Routing`]
-    /// tables this cache fronts.
+    /// The path from `src` to `dst` as a slice of the arena, or `None`
+    /// when unreachable. A miss walks the tables onto the arena's end.
+    pub(crate) fn path_slice(
+        &mut self,
+        routing: &Routing,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<&[LinkId]> {
+        let (start, len) = if self.enabled {
+            match self.map.get(&(src.0, dst.0)) {
+                Some(&span) => {
+                    self.hits += 1;
+                    span?
+                }
+                None => {
+                    self.misses += 1;
+                    let span = self.walk(routing, topo, src, dst);
+                    self.map.insert((src.0, dst.0), span);
+                    span?
+                }
+            }
+        } else {
+            // off: nothing is memoized, so the arena holds only this walk
+            self.arena.clear();
+            self.walk(routing, topo, src, dst)?
+        };
+        Some(&self.arena[start as usize..][..len as usize])
+    }
+
+    /// Walks the tables onto the arena's end: the new path's
+    /// `(start, len)`, or `None` (arena unchanged) when unreachable.
+    fn walk(
+        &mut self,
+        routing: &Routing,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<Span> {
+        let start = self.arena.len();
+        let reached = routing.extend_path(topo, src, dst, &mut self.arena);
+        // past u32 offsets, spans would silently alias other entries
+        assert!(
+            u32::try_from(self.arena.len()).is_ok(),
+            "route arena outgrew u32 spans"
+        );
+        reached.then(|| (start as u32, (self.arena.len() - start) as u32))
+    }
+
+    /// Drops every memoized entry, keeping the memo's capacity. Call after
+    /// rebuilding the [`Routing`] tables this cache fronts.
     pub fn invalidate(&mut self) {
         self.map.clear();
+        self.arena.clear();
     }
 
     /// Lookups served from the memo.
@@ -570,5 +696,248 @@ mod tests {
                 assert_eq!(plain.path(&t, s, d), masked.path(&t, s, d));
             }
         }
+    }
+
+    /// The reference walk: [`Routing::path`] over the always-materialize
+    /// lookup.
+    fn path_reference(r: &Routing, t: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+        let mut rows = r.rows.borrow_mut();
+        let mut out = Vec::new();
+        let mut at = src;
+        while at != dst {
+            let lid = rows.next_hop_reference(t, r.usable.as_deref(), at.0, dst.0)?;
+            out.push(lid);
+            at = t.link(lid).to;
+        }
+        Some(out)
+    }
+
+    /// A seeded topology mixing every shape single-exit routing must get
+    /// right: a router core with parallel and one-way links, hosts on one
+    /// access link (duplex, one-way out, one-way in, or two parallel
+    /// ones), duplex host pairs, one-way chains into the core, one-way
+    /// rings with and without a tail, and self-loops.
+    fn mixed_topology(rng: &mut lsds_stats::SimRng) -> Topology {
+        let mut t = Topology::new();
+        let lat = |rng: &mut lsds_stats::SimRng| [0.0, 0.001, 0.002, 0.005][rng.index(4)];
+        let routers: Vec<NodeId> = (0..2 + rng.index(4))
+            .map(|_| t.add_node(NodeKind::Router, "r"))
+            .collect();
+        for (i, &r) in routers.iter().enumerate().skip(1) {
+            let to = routers[rng.index(i)];
+            let l = lat(rng);
+            t.add_duplex(r, to, mbps(1.0), l);
+            if rng.chance(0.3) {
+                t.add_link(r, to, mbps(1.0), lat(rng)); // parallel
+            }
+        }
+        for _ in 0..rng.index(3) {
+            let (a, b) = (*rng.choose(&routers), *rng.choose(&routers));
+            if a != b {
+                t.add_link(a, b, mbps(1.0), lat(rng)); // one-way core link
+            }
+        }
+        for _ in 0..3 + rng.index(6) {
+            let h = t.add_node(NodeKind::Host, "h");
+            let r = *rng.choose(&routers);
+            match rng.index(4) {
+                0 | 1 => {
+                    t.add_duplex(h, r, mbps(1.0), lat(rng));
+                }
+                2 => {
+                    t.add_link(h, r, mbps(1.0), lat(rng));
+                }
+                _ => {
+                    t.add_link(r, h, mbps(1.0), lat(rng));
+                }
+            }
+            if rng.chance(0.2) {
+                t.add_link(h, r, mbps(1.0), lat(rng)); // parallel access
+            }
+        }
+        for _ in 0..rng.index(3) {
+            let a = t.add_node(NodeKind::Host, "p");
+            let b = t.add_node(NodeKind::Host, "q");
+            t.add_duplex(a, b, mbps(1.0), lat(rng));
+            if rng.chance(0.5) {
+                t.add_duplex(b, *rng.choose(&routers), mbps(1.0), lat(rng));
+            }
+        }
+        for _ in 0..rng.index(3) {
+            // one-way chain, ending in the core or nowhere
+            let chain: Vec<NodeId> = (0..1 + rng.index(4))
+                .map(|_| t.add_node(NodeKind::Host, "c"))
+                .collect();
+            for w in chain.windows(2) {
+                t.add_link(w[0], w[1], mbps(1.0), lat(rng));
+            }
+            if rng.chance(0.7) {
+                t.add_link(
+                    chain[chain.len() - 1],
+                    *rng.choose(&routers),
+                    mbps(1.0),
+                    lat(rng),
+                );
+            }
+        }
+        for _ in 0..rng.index(3) {
+            // one-way ring, optionally fed by a tail from the core
+            let ring: Vec<NodeId> = (0..2 + rng.index(4))
+                .map(|_| t.add_node(NodeKind::Host, "o"))
+                .collect();
+            for (i, &a) in ring.iter().enumerate() {
+                t.add_link(a, ring[(i + 1) % ring.len()], mbps(1.0), lat(rng));
+            }
+            if rng.chance(0.5) {
+                let tail = t.add_node(NodeKind::Host, "t");
+                t.add_link(tail, ring[0], mbps(1.0), lat(rng));
+                t.add_link(*rng.choose(&routers), tail, mbps(1.0), lat(rng));
+            }
+        }
+        for _ in 0..rng.index(4) {
+            let v = NodeId(rng.index(t.node_count()));
+            t.add_link(v, v, mbps(1.0), lat(rng));
+        }
+        t
+    }
+
+    /// Usable exits of `v` to another node, counted independently of
+    /// `sole_exit`.
+    fn exits(t: &Topology, usable: Option<&[bool]>, v: usize) -> usize {
+        t.out_links(NodeId(v))
+            .iter()
+            .filter(|&&l| usable.is_none_or(|m| m[l.0]) && t.link(l).to.0 != v)
+            .count()
+    }
+
+    #[test]
+    fn single_exit_lookup_matches_always_materialize_reference() {
+        for seed in 0..64 {
+            let mut rng = lsds_stats::SimRng::new(seed);
+            let t = mixed_topology(&mut rng);
+            let n = t.node_count();
+            let mut pairs: Vec<(NodeId, NodeId)> = (0..n)
+                .flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d))))
+                .collect();
+            for masked in [0.0, 0.15, 0.4] {
+                let mask: Vec<bool> = (0..t.link_count()).map(|_| !rng.chance(masked)).collect();
+                let build = || {
+                    if masked == 0.0 {
+                        Routing::compute(&t)
+                    } else {
+                        Routing::compute_filtered(&t, &mask)
+                    }
+                };
+                let (fast, reference, walked) = (build(), build(), build());
+                let mut cache = RouteCache::new();
+                // a fresh query order per mask: which rows exist when a
+                // lookup runs must not matter
+                rng.shuffle(&mut pairs);
+                for &(s, d) in &pairs {
+                    let want = if s == d {
+                        None
+                    } else {
+                        let mut rows = reference.rows.borrow_mut();
+                        rows.next_hop_reference(&t, reference.usable.as_deref(), s.0, d.0)
+                    };
+                    assert_eq!(
+                        fast.next_hop(&t, s, d),
+                        want,
+                        "seed {seed} mask {masked} {s:?}->{d:?}"
+                    );
+                    let path = path_reference(&reference, &t, s, d);
+                    assert_eq!(
+                        walked.path(&t, s, d),
+                        path,
+                        "seed {seed} mask {masked} {s:?}->{d:?}"
+                    );
+                    assert_eq!(cache.path(&walked, &t, s, d), path);
+                }
+                // a node with one way out never ran a Dijkstra
+                for r in [&fast, &walked] {
+                    let rows = r.rows.borrow();
+                    for v in 0..n {
+                        if exits(&t, r.usable.as_deref(), v) == 1 {
+                            assert!(
+                                rows.sources[v].is_none(),
+                                "seed {seed}: single-exit node {v} got a row"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hosts `h0`, `h1` and `far` on router `r`; `far`'s only way in is
+    /// `r → far`, so taking that link down leaves `far` unreachable.
+    fn spur() -> (Topology, [NodeId; 3], LinkId) {
+        let mut t = Topology::new();
+        let r = t.add_node(NodeKind::Router, "r");
+        let h0 = t.add_node(NodeKind::Host, "h0");
+        let h1 = t.add_node(NodeKind::Host, "h1");
+        let far = t.add_node(NodeKind::Host, "far");
+        t.add_duplex(h0, r, mbps(1.0), 0.001);
+        t.add_duplex(h1, r, mbps(1.0), 0.001);
+        let spur = t.add_link(r, far, mbps(1.0), 0.001);
+        t.add_link(far, r, mbps(1.0), 0.001);
+        (t, [h0, h1, far], spur)
+    }
+
+    #[test]
+    fn route_cache_counts_and_paths_over_a_down_up_sequence() {
+        let (t, [h0, h1, far], spur) = spur();
+        let mut usable = vec![true; t.link_count()];
+        let queries = [(h0, far), (h1, far), (h0, h1), (h0, far), (far, h0)];
+        let mut cache = RouteCache::new();
+        let mut seen = Vec::new();
+        // up, down, up again: each state rebuilds the tables and
+        // invalidates, so its first `path` of a pair misses and the repeat
+        // of (h0, far) hits, negative or not; every `path_into` hits
+        for (down, want) in [(false, (6, 4)), (true, (12, 8)), (false, (18, 12))] {
+            usable[spur.0] = !down;
+            let r = Routing::compute_filtered(&t, &usable);
+            cache.invalidate();
+            for &(s, d) in &queries {
+                let p = cache.path(&r, &t, s, d);
+                assert_eq!(p, r.path(&t, s, d));
+                seen.push(p.as_ref().map(Vec::len));
+            }
+            for &(s, d) in &queries {
+                let mut buf = vec![spur];
+                let p = r.path(&t, s, d);
+                assert_eq!(cache.path_into(&r, &t, s, d, &mut buf), p.is_some());
+                assert_eq!(buf, p.unwrap_or_default());
+            }
+            assert_eq!((cache.hits(), cache.misses()), want, "down={down}");
+            assert_eq!(cache.len(), 4);
+        }
+        let up = [Some(2), Some(2), Some(2), Some(2), Some(2)];
+        let down = [None, None, Some(2), None, Some(2)];
+        assert_eq!(seen, [up, down, up].concat());
+    }
+
+    #[test]
+    fn invalidate_cycles_reuse_one_arena() {
+        let (t, hosts) = Topology::star(6, mbps(100.0), 0.001);
+        let r = Routing::compute(&t);
+        let mut cache = RouteCache::new();
+        let cycle = |cache: &mut RouteCache| {
+            cache.invalidate();
+            for &s in &hosts {
+                for &d in &hosts {
+                    cache.path(&r, &t, s, d);
+                }
+            }
+        };
+        cycle(&mut cache);
+        // 30 two-hop paths and 6 empty self-paths
+        let (len, cap) = (cache.arena.len(), cache.arena.capacity());
+        assert_eq!(len, 60);
+        for _ in 0..1_000 {
+            cycle(&mut cache);
+        }
+        assert_eq!((cache.arena.len(), cache.arena.capacity()), (len, cap));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1_001 * 36));
     }
 }

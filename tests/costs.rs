@@ -1,0 +1,176 @@
+//! Deterministic cost contracts: allocation counts that wall time on a
+//! noisy host cannot resolve, pinned exactly after a warm-up.
+//!
+//! A counting global allocator lives in this test crate alone, so every
+//! product crate keeps `forbid(unsafe_code)`. Its counters are
+//! thread-local with `const` initializers (no lazy init, no allocation
+//! inside the allocator), so tests running on parallel threads never see
+//! each other's allocations.
+
+use lsds::core::{Schedule, SimTime};
+use lsds::net::{gbps, FlowEvent, FlowNet, LinkFault, LinkId, NodeId, NodeKind, Topology};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations and reallocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot is gone while the thread's locals are torn down
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator, counting every `alloc`, `alloc_zeroed` and
+/// `realloc` on the calling thread.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping only touches a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` contract is passed on to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (r, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A clock that drops what is scheduled on it: the contracts measure the
+/// network, not an event list.
+struct Discard(SimTime);
+
+impl Schedule<FlowEvent> for Discard {
+    fn now(&self) -> SimTime {
+        self.0
+    }
+    fn schedule_at(&mut self, _: SimTime, _: FlowEvent) {}
+}
+
+/// A clock that keeps what is scheduled on it, to deliver the `Begin`s.
+struct Keep(Vec<FlowEvent>);
+
+impl Schedule<FlowEvent> for Keep {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn schedule_at(&mut self, _: SimTime, ev: FlowEvent) {
+        self.0.push(ev);
+    }
+}
+
+const LEFT: usize = 50;
+const RIGHT: usize = 40;
+
+/// Routers `l` and `r` joined by two two-hop cores, via `a` (faster) and
+/// via `b`; 50 hosts on `l` and 40 on `r`, each on one duplex access link.
+/// Returns the network, the hosts, and the links `l → a` and `l → b`.
+fn two_cores() -> (FlowNet, Vec<NodeId>, Vec<NodeId>, [LinkId; 2]) {
+    let mut t = Topology::new();
+    let [l, r, a, b] = ["l", "r", "a", "b"].map(|name| t.add_node(NodeKind::Router, name));
+    let (l_a, _) = t.add_duplex(l, a, gbps(10.0), 0.001);
+    t.add_duplex(a, r, gbps(10.0), 0.001);
+    let (l_b, _) = t.add_duplex(l, b, gbps(10.0), 0.002);
+    t.add_duplex(b, r, gbps(10.0), 0.002);
+    let mut hosts = |n: usize, router: NodeId| -> Vec<NodeId> {
+        (0..n)
+            .map(|_| {
+                let h = t.add_node(NodeKind::Host, "h");
+                t.add_duplex(h, router, gbps(1.0), 0.0005);
+                h
+            })
+            .collect()
+    };
+    let (left, right) = (hosts(LEFT, l), hosts(RIGHT, r));
+    (FlowNet::new(t), left, right, [l_a, l_b])
+}
+
+/// Allocations made by a `LinkFault::Down` that reroutes `flows` active
+/// flows, each between its own pair of hosts, once an earlier down/up of
+/// the other core has sized every buffer and memo such a reroute uses.
+fn down_allocations(flows: usize) -> u64 {
+    let (mut net, left, right, [via_a, via_b]) = two_cores();
+    let mut begins = Keep(Vec::new());
+    for i in 0..flows {
+        let (src, dst) = (left[i % LEFT], right[i / LEFT]);
+        net.try_start(src, dst, 1e12, i as u64, &mut begins)
+            .expect("both cores up");
+    }
+    let mut sched = Discard(SimTime::ZERO);
+    let mut done = Vec::new();
+    for ev in begins.0 {
+        net.handle_into(ev, &mut sched, &mut done);
+    }
+    sched.0 = SimTime::new(1.0);
+    net.apply_fault(LinkFault::Down(via_a), &mut sched);
+    net.apply_fault(LinkFault::Up(via_a), &mut sched);
+    sched.0 = SimTime::new(2.0);
+    let (outcome, n) = allocations(|| net.apply_fault(LinkFault::Down(via_b), &mut sched));
+    assert_eq!(outcome.rerouted, flows as u64);
+    assert!(outcome.aborted.is_empty());
+    // one miss per pair at the start and at each `Down`: no detour is shared
+    assert_eq!(net.route_cache_stats(), (0, 3 * flows as u64));
+    n
+}
+
+/// DESIGN §6b: a fault's detours come from one route-memo arena, recycled
+/// path buffers and scratch lists, so what a `Down` allocates (the new
+/// routing tables and the routers' rows) does not depend on how many
+/// flows it moves.
+#[test]
+fn down_fault_allocations_do_not_grow_with_rerouted_flows() {
+    assert_eq!(down_allocations(200), down_allocations(2_000));
+}
+
+/// DESIGN §6b: in steady state a transfer start whose route is memoized
+/// fills a recycled path buffer from the memo and allocates nothing.
+#[test]
+fn try_start_served_from_route_cache_allocates_nothing() {
+    let (mut net, left, right, _) = two_cores();
+    let (src, dst) = (left[0], right[0]);
+    let mut sched = Discard(SimTime::ZERO);
+    // warm-up: the first start fills the memo, each cancel hands its path
+    // back to the spare pool, and 17 ids leave the id → slot map (which
+    // grows by doubling) with room for ids up to 31
+    for tag in 0..17 {
+        let id = net
+            .try_start(src, dst, 1e9, tag, &mut sched)
+            .expect("route");
+        net.cancel(id, &mut sched);
+    }
+    let (hits, misses) = net.route_cache_stats();
+    for tag in 17..32 {
+        let (id, n) = allocations(|| net.try_start(src, dst, 1e9, tag, &mut sched));
+        assert_eq!(n, 0, "start {tag} allocated");
+        net.cancel(id.expect("route"), &mut sched);
+    }
+    assert_eq!(net.route_cache_stats(), (hits + 15, misses));
+}
