@@ -21,15 +21,23 @@
 //! popping, clock advance and handler dispatch once. Each engine file keeps
 //! only its advance policy — which instant comes next, and what the model
 //! sees as `now` there.
+//!
+//! The same kernel delivers the logical processes of `lsds-parallel`:
+//! [`LogicalProcess`] and [`LpCtx`] live here, and the distributed engines
+//! add only their synchronisation policy.
 
 mod event_driven;
 mod hybrid;
 mod kernel;
+mod lp;
 mod time_driven;
 mod trace_driven;
 
 pub use event_driven::EventDriven;
 pub use hybrid::{Hybrid, HybridModel};
+pub use lp::{InitialEvents, LogicalProcess, LpCtx, LpId};
+#[doc(hidden)]
+pub use lp::{LpCore, LpPort};
 pub use time_driven::TimeDriven;
 pub use trace_driven::{TraceDriven, TraceSource};
 
@@ -127,6 +135,18 @@ impl<'a, E> Ctx<'a, E> {
             staged,
             seq,
             stop,
+        }
+    }
+
+    /// The same handle for a shorter borrow, so a wrapper such as
+    /// [`LpCtx`] can own one.
+    pub(crate) fn reborrow(&mut self) -> Ctx<'_, E> {
+        Ctx {
+            now: self.now,
+            cause: self.cause,
+            staged: &mut *self.staged,
+            seq: &mut *self.seq,
+            stop: &mut *self.stop,
         }
     }
 

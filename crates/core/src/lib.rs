@@ -42,9 +42,11 @@ pub mod time;
 
 pub use arena::{IdMap, Slab};
 pub use engine::{
-    Ctx, EventDriven, Hybrid, MappedCtx, Model, RunStats, Schedule, TimeDriven, TraceDriven,
-    TraceSource,
+    Ctx, EventDriven, Hybrid, InitialEvents, LogicalProcess, LpCtx, LpId, MappedCtx, Model,
+    RunStats, Schedule, TimeDriven, TraceDriven, TraceSource,
 };
+#[doc(hidden)]
+pub use engine::{LpCore, LpPort};
 pub use event::{EventSeq, ScheduledEvent, NO_PARENT};
 pub use pool::{EventPool, PooledQueue};
 pub use queue::{

@@ -14,8 +14,10 @@
 //! to lookahead; [`CmbStats::nulls_sent`] exposes it and experiment E4
 //! sweeps it.
 
-use crate::lp::{out_neighbors, run_lp_threads, validate_run, LogicalProcess, LpCore, LpCtx, LpId};
-use lsds_core::{ScheduledEvent, SimTime};
+pub use lsds_core::InitialEvents;
+
+use crate::lp::{out_neighbors, run_lp_threads, validate_run, LogicalProcess, LpId};
+use lsds_core::{LpCore, ScheduledEvent, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
     TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
@@ -80,8 +82,11 @@ enum Packet<M> {
     /// (`+∞`: the sender has finished the run).
     Null { ts: f64 },
     /// A real message, carrying its deterministic tie-break key and the
-    /// tie key of the event that caused it (for the trace DAG).
-    Event(ScheduledEvent<M>),
+    /// tie key of the event that caused it (for the trace DAG), and the
+    /// sender's bound when it left: its handler time plus its lookahead.
+    /// The message's own timestamp may lie above the bound, and a later
+    /// message on the edge may lie below this one's.
+    Event { bound: f64, ev: ScheduledEvent<M> },
 }
 
 /// A packet and the receiver's in-edge it travels on.
@@ -102,11 +107,15 @@ impl<M> Tagged<M> {
 /// anything still to arrive on that edge), per out-edge the bound already
 /// promised to the receiver. An LP may run an event strictly below the
 /// minimum of its channel clocks, and may promise its earliest possible
-/// next handler time plus its lookahead. The transports differ — packets
+/// next handler time plus its lookahead. A real message raises both ends
+/// to its sender's handler time plus lookahead, never to its own
+/// timestamp: a later send may land earlier. The transports differ — packets
 /// are mailed here, applied under the receiver's lock there — the rule and
 /// its causality checks do not.
 pub(crate) struct ChannelClocks {
     me: LpId,
+    /// The LP's declared lookahead.
+    la: f64,
     /// `(in-neighbor, channel clock)`, in edge-declaration order.
     ins: Vec<(LpId, f64)>,
     /// Per out-edge, in edge-declaration order (index `k` of the LP's
@@ -116,11 +125,17 @@ pub(crate) struct ChannelClocks {
 }
 
 impl ChannelClocks {
-    /// The clocks of every LP of an `n`-LP topology, all bounds at zero.
-    pub(crate) fn for_topology(n: usize, edges: &[(LpId, LpId)]) -> Vec<ChannelClocks> {
-        let mut all: Vec<ChannelClocks> = (0..n)
-            .map(|me| ChannelClocks {
+    /// The clocks of every LP of `lps`, all bounds at zero.
+    pub(crate) fn for_topology<L: LogicalProcess>(
+        lps: &[L],
+        edges: &[(LpId, LpId)],
+    ) -> Vec<ChannelClocks> {
+        let mut all: Vec<ChannelClocks> = lps
+            .iter()
+            .enumerate()
+            .map(|(me, lp)| ChannelClocks {
                 me,
+                la: lp.lookahead(),
                 ins: Vec::new(),
                 outs: Vec::new(),
             })
@@ -142,28 +157,27 @@ impl ChannelClocks {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The safe-event rule: `core`'s next event runs only strictly below
+    /// The safe-event rule: the LP's `next` event runs only strictly below
     /// the safe time (a message may still arrive exactly at it), and never
-    /// beyond the horizon.
-    pub(crate) fn runnable<L: LogicalProcess>(&self, core: &mut LpCore<L>, t_end: SimTime) -> bool {
+    /// beyond the horizon. Returns its time if it may run.
+    pub(crate) fn next_safe(&self, next: Option<SimTime>, t_end: SimTime) -> Option<SimTime> {
         let safe = self.safe_time();
-        core.next_time()
-            .is_some_and(|t| t.seconds() < safe && t <= t_end)
+        next.filter(|&t| t.seconds() < safe && t <= t_end)
     }
 
     /// Nothing is left within the horizon, locally or on any in-edge.
-    pub(crate) fn finished<L: LogicalProcess>(&self, core: &mut LpCore<L>, t_end: SimTime) -> bool {
-        core.next_time().is_none_or(|t| t > t_end) && self.safe_time() > t_end.seconds()
+    pub(crate) fn finished(&self, next: Option<SimTime>, t_end: SimTime) -> bool {
+        next.is_none_or(|t| t > t_end) && self.safe_time() > t_end.seconds()
     }
 
-    /// Takes a packet off its in-edge: a bound raises the channel clock, an
-    /// event is filed in `core` and — edges being FIFO — raises it too.
-    /// Returns whether the LP may have new work: always for an event, for
-    /// a bound only if the clock rose.
-    pub(crate) fn apply<L: LogicalProcess>(
+    /// Takes a packet off its in-edge: a null raises the channel clock to
+    /// its bound, an event goes to `accept` and raises the clock to the
+    /// bound it carries. Returns whether the LP may have new work: always
+    /// for an event, for a null only if the clock rose.
+    pub(crate) fn apply<M>(
         &mut self,
-        core: &mut LpCore<L>,
-        Tagged { edge, packet }: Tagged<L::Msg>,
+        Tagged { edge, packet }: Tagged<M>,
+        accept: impl FnOnce(ScheduledEvent<M>),
     ) -> bool {
         let (src, clock) = &mut self.ins[edge];
         match packet {
@@ -172,65 +186,62 @@ impl ChannelClocks {
                 *clock = clock.max(ts);
                 rose
             }
-            Packet::Event(ev) => {
-                // the sender promised (via bounds or earlier events) that
+            Packet::Event { bound, ev } => {
+                // the sender promised (via nulls or earlier events) that
                 // nothing below the channel clock would follow
                 debug_assert!(
-                    ev.time.seconds() >= *clock,
-                    "causality: LP {src} sent event at t={} below its promised bound {clock}",
+                    bound >= *clock && ev.time.seconds() >= bound,
+                    "causality: LP {src} sent t={} at bound {bound} below its promised bound {clock}",
                     ev.time
                 );
-                *clock = clock.max(ev.time.seconds());
-                core.accept(ev);
+                *clock = clock.max(bound);
+                accept(ev);
                 true
             }
         }
     }
 
-    /// Puts an event on out-edge `k`.
-    pub(crate) fn depart<M>(&mut self, k: usize, ev: ScheduledEvent<M>) -> Tagged<M> {
+    /// Puts an event sent by the handler running at `at` on out-edge `k`;
+    /// the edge's promise rises to `at` plus lookahead.
+    pub(crate) fn depart<M>(&mut self, k: usize, at: SimTime, ev: ScheduledEvent<M>) -> Tagged<M> {
+        let bound = at.seconds() + self.la;
         let (_, edge, promised) = &mut self.outs[k];
         // the bounds already published on this edge promised `promised`;
-        // an event below it would mean our declared lookahead lied
+        // a handler below it would mean our declared lookahead lied
         debug_assert!(
-            ev.time.seconds() >= *promised,
-            "causality: LP {} sending t={} below its promised bound {promised} (lookahead violated)",
+            bound >= *promised,
+            "causality: LP {} sending at bound {bound} below its promised bound {promised} (lookahead violated)",
             self.me,
-            ev.time
         );
-        *promised = promised.max(ev.time.seconds());
-        let (edge, packet) = (*edge, Packet::Event(ev));
+        *promised = promised.max(bound);
+        let (edge, packet) = (*edge, Packet::Event { bound, ev });
         Tagged { edge, packet }
     }
 
     /// Lower bound on this LP's future sends: its earliest possible next
-    /// handler time — next local event, safe time or horizon — plus its
+    /// handler time — `next` local event, safe time or horizon — plus its
     /// lookahead. This is the null-message payload.
-    fn lower_bound<L: LogicalProcess>(&self, core: &mut LpCore<L>, t_end: SimTime) -> f64 {
-        let next_local = core.next_time().map_or(f64::INFINITY, |t| t.seconds());
-        next_local.min(self.safe_time()).min(t_end.seconds()) + core.lookahead()
+    fn lower_bound(&self, next: Option<SimTime>, t_end: SimTime) -> f64 {
+        let next = next.map_or(f64::INFINITY, SimTime::seconds);
+        next.min(self.safe_time()).min(t_end.seconds()) + self.la
     }
 
     /// Whether [`ChannelClocks::promise`] would publish anything.
-    pub(crate) fn can_promise<L: LogicalProcess>(
-        &self,
-        core: &mut LpCore<L>,
-        t_end: SimTime,
-    ) -> bool {
-        let ts = self.lower_bound(core, t_end);
+    pub(crate) fn can_promise(&self, next: Option<SimTime>, t_end: SimTime) -> bool {
+        let ts = self.lower_bound(next, t_end);
         self.outs.iter().any(|&(_, _, promised)| ts > promised)
     }
 
     /// Raises the promise to the current [lower bound](Self::lower_bound)
     /// on every out-edge still below it, handing `publish` the receiver
     /// and the null packet for each.
-    pub(crate) fn promise<L: LogicalProcess>(
+    pub(crate) fn promise<M>(
         &mut self,
-        core: &mut LpCore<L>,
+        next: Option<SimTime>,
         t_end: SimTime,
-        publish: impl FnMut(LpId, Tagged<L::Msg>),
+        publish: impl FnMut(LpId, Tagged<M>),
     ) {
-        self.raise(self.lower_bound(core, t_end), publish);
+        self.raise(self.lower_bound(next, t_end), publish);
     }
 
     /// The LP has finished: promises `+∞` on every out-edge.
@@ -249,12 +260,6 @@ impl ChannelClocks {
     }
 }
 
-/// Initial-events hook: called once per LP at time zero, before the run.
-pub trait InitialEvents: LogicalProcess {
-    /// Schedules the LP's initial events (local or remote).
-    fn initial_events(&mut self, ctx: &mut LpCtx<'_, Self::Msg>);
-}
-
 /// Mails a packet. A disconnected receiver has already terminated (its
 /// safe time passed `t_end`), so anything we would send it now is beyond
 /// the horizon or no longer needed — drop, don't panic.
@@ -262,15 +267,16 @@ fn post<M>(txs: &[Sender<Tagged<M>>], dst: LpId, tagged: Tagged<M>) {
     txs[dst].send(tagged).ok();
 }
 
-/// The kernel's `remote` sink under this engine: mails a real message
-/// along out-edge `k`, counting it.
+/// The kernel's `remote` sink under this engine for the handler running
+/// at `at`: mails a real message along out-edge `k`, counting it.
 fn mailer<'a, M>(
     txs: &'a [Sender<Tagged<M>>],
     clocks: &'a mut ChannelClocks,
     stats: &'a mut CmbStats,
+    at: SimTime,
 ) -> impl FnMut(usize, LpId, ScheduledEvent<M>) + 'a {
     move |k, dst, ev| {
-        post(txs, dst, clocks.depart(k, ev));
+        post(txs, dst, clocks.depart(k, at, ev));
         stats.remote_sent += 1;
     }
 }
@@ -356,35 +362,32 @@ where
     Y: Telemetry + Send,
 {
     validate_run(&lps, edges, Some(0.0));
-    let clocks = ChannelClocks::for_topology(lps.len(), edges);
+    let clocks = ChannelClocks::for_topology(&lps, edges);
     let (lps, stats, tracers, tels) = run_lp_threads(
         lps.into_iter().zip(clocks).collect(),
         mk_tracer,
         mk_tel,
-        |me, (lp, mut clocks), mut tracer, mut tel, rx, txs| {
-            let mut core = LpCore::new(me, lp, out_neighbors(edges, me));
+        |me, (lp, mut clocks), tracer, mut tel, rx, txs| {
+            let mut core = LpCore::new(me, lp, out_neighbors(edges, me), tracer);
             let mut stats = CmbStats::default();
-            core.init(mailer(txs, &mut clocks, &mut stats));
+            core.init(mailer(txs, &mut clocks, &mut stats, SimTime::ZERO));
             loop {
                 while let Ok(tagged) = rx.try_recv() {
-                    clocks.apply(&mut core, tagged);
+                    clocks.apply(tagged, |ev| core.accept(ev));
                 }
-                while clocks.runnable(&mut core, t_end) {
-                    let mail = mailer(txs, &mut clocks, &mut stats);
-                    let Some(at) = core.step(&mut tracer, mail) else {
-                        break;
-                    };
+                while let Some(at) = clocks.next_safe(core.next_time(), t_end) {
+                    core.step(mailer(txs, &mut clocks, &mut stats, at));
                     if Y::ENABLED && tel.tick(at.seconds()) {
                         let len = core.queue_len() as f64;
                         tel.sample("cmb.queue_len", me as u32, at.seconds(), len);
                     }
                 }
-                if clocks.finished(&mut core, t_end) {
+                if clocks.finished(core.next_time(), t_end) {
                     clocks.close(|dst, done| post(txs, dst, done));
                     break;
                 }
                 // Blocked: publish our lower bound, then wait for progress.
-                clocks.promise(&mut core, t_end, |dst, null| {
+                clocks.promise(core.next_time(), t_end, |dst, null| {
                     post(txs, dst, null);
                     stats.nulls_sent += 1;
                     if Y::ENABLED {
@@ -416,9 +419,9 @@ where
                 let Ok(tagged) = received else {
                     break;
                 };
-                clocks.apply(&mut core, tagged);
+                clocks.apply(tagged, |ev| core.accept(ev));
             }
-            let (lp, events) = core.finish();
+            let (lp, events, tracer) = core.finish();
             (lp, CmbStats { events, ..stats }, tracer, tel)
         },
     );
@@ -428,6 +431,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lp::LpCtx;
 
     /// Ring of LPs passing a token; each hop takes `delay`, while the
     /// declared lookahead `la ≤ delay` can be tightened independently to
@@ -465,8 +469,8 @@ mod tests {
         (0..n).map(|i| (i, (i + 1) % n)).collect()
     }
 
-    fn run_ring(n: usize, delay: f64, la: f64, t_end: f64) -> CmbReport<RingNode> {
-        let lps: Vec<RingNode> = (0..n)
+    fn ring_nodes(n: usize, delay: f64, la: f64) -> Vec<RingNode> {
+        (0..n)
             .map(|_| RingNode {
                 n,
                 hops_seen: 0,
@@ -474,8 +478,15 @@ mod tests {
                 delay,
                 la,
             })
-            .collect();
-        run_cmb(lps, &ring_edges(n), SimTime::new(t_end))
+            .collect()
+    }
+
+    fn run_ring(n: usize, delay: f64, la: f64, t_end: f64) -> CmbReport<RingNode> {
+        run_cmb(
+            ring_nodes(n, delay, la),
+            &ring_edges(n),
+            SimTime::new(t_end),
+        )
     }
 
     /// In- and out-edges are numbered in declaration order, and every
@@ -483,7 +494,7 @@ mod tests {
     #[test]
     fn channel_clocks_follow_declaration_order() {
         let edges = [(0usize, 2usize), (1, 2), (2, 0), (0, 1)];
-        let clocks = ChannelClocks::for_topology(3, &edges);
+        let clocks = ChannelClocks::for_topology(&ring_nodes(3, 1.0, 1.0), &edges);
         let ins = |lp: usize| -> Vec<LpId> { clocks[lp].ins.iter().map(|e| e.0).collect() };
         assert_eq!(ins(2), vec![0, 1]);
         assert_eq!(ins(0), vec![2]);
@@ -618,30 +629,26 @@ mod tests {
         }
     }
 
-    /// An LP whose sends duck under its own already-promised channel bound
-    /// (the second send is timestamped below the first) violates the CMB
-    /// lookahead contract; the debug-build causality assertion must catch
-    /// it at the sender before the receiver ever sees the stale message.
-    /// (The Time Warp engine tolerates exactly this shape — a send far
-    /// below the declared lookahead arrives as a straggler and is repaired
-    /// by rollback; see `timewarp::tests::forced_stragglers_match_sequential`.)
-    ///
-    /// Both LPs misbehave symmetrically so every thread terminates (by
-    /// panicking) — a lone panicking LP would leave its peer blocked on
-    /// `recv` and the scoped join waiting forever.
+    /// Sends along one edge need not be in timestamp order: every send
+    /// here is at least the lookahead, but each handler's second send lands
+    /// before its first. The channel clock may rise only to the sender's
+    /// bound (handler time plus lookahead), not to the first send's
+    /// timestamp, or the receiver runs past the second send before it
+    /// arrives — which once tripped a debug assertion and, in release
+    /// builds, gave other final states than the sequential oracle.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic]
-    fn out_of_order_send_trips_causality_assert() {
-        struct Liar;
+    fn out_of_order_sends_match_sequential() {
+        struct Liar {
+            log: Vec<(u64, u64)>,
+        }
         impl LogicalProcess for Liar {
             type Msg = u64;
-            fn handle(&mut self, _now: SimTime, _m: u64, ctx: &mut LpCtx<'_, u64>) {
-                // first send raises the edge's promised bound to t=5.0;
-                // the second tries to slip an event in beneath it
+            fn handle(&mut self, now: SimTime, m: u64, ctx: &mut LpCtx<'_, u64>) {
+                self.log.push((now.seconds().to_bits(), m));
+                // the first send lands at t + 5.0, the second at t + 0.2
                 let peer = (ctx.me() + 1) % 2;
-                ctx.send(peer, 5.0, 1);
-                ctx.send(peer, 0.2, 2);
+                ctx.send(peer, 5.0, 2 * m + 1);
+                ctx.send(peer, 0.2, 2 * m + 2);
             }
             fn lookahead(&self) -> f64 {
                 0.1
@@ -652,7 +659,14 @@ mod tests {
                 ctx.schedule_in(0.0, 0);
             }
         }
-        run_cmb(vec![Liar, Liar], &[(0, 1), (1, 0)], SimTime::new(10.0));
+        let mk = || (0..2).map(|_| Liar { log: Vec::new() }).collect::<Vec<_>>();
+        let (edges, t_end) = ([(0, 1), (1, 0)], SimTime::new(10.0));
+        let seq = crate::sequential::run_sequential(mk(), &edges, t_end);
+        let par = run_cmb(mk(), &edges, t_end);
+        assert_eq!(par.total_events(), seq.total_events());
+        for i in 0..2 {
+            assert_eq!(par.lps[i].log, seq.lps[i].log, "LP {i} log diverged");
+        }
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! distributed simulations has not significantly impressed the general
 //! simulation community" (Fujimoto 1993) — because "considerable efforts
 //! and expertise are still required to develop efficient simulation
-//! programs". This crate therefore writes the per-LP step once: [`lp`] is
-//! the kernel (how an event is identified by its `(time, source LP,
-//! sequence)` key, dispatched to its handler and routed along a declared
-//! edge), and each engine module adds only a synchronisation policy:
+//! programs". The per-LP step is therefore written once, and not in this
+//! crate: an LP runs on `lsds-core`'s delivery kernel, the one the
+//! centralized engines use, plus a port that identifies every event by its
+//! `(time, source LP, sequence)` key and routes sends along declared edges.
+//! The LP model ([`LogicalProcess`], [`LpCtx`], [`LpId`], [`InitialEvents`])
+//! is re-exported here and under [`lp`]. Each engine module adds only a
+//! synchronisation policy:
 //!
 //! | engine | next event is safe when | on a straggler | transport |
 //! |---|---|---|---|

@@ -9,12 +9,9 @@
 //! and Time Warp deliver — so this executor is the bit-identity oracle the
 //! engine-equivalence and rollback property tests compare against.
 
-use crate::lp::{out_neighbors, validate_run, LpId, Port};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime};
-use lsds_obs::{
-    EngineTelemetry, NoopTelemetry, NoopTracer, Telemetry, TelemetryConfig, TelemetryReport,
-};
-use std::cell::RefCell;
+use crate::lp::{out_neighbors, validate_run, LpId};
+use lsds_core::{BinaryHeapQueue, EventQueue, LpPort, PooledQueue, ScheduledEvent, SimTime};
+use lsds_obs::{EngineTelemetry, NoopTelemetry, Telemetry, TelemetryConfig, TelemetryReport};
 
 /// Result of a sequential reference run.
 #[derive(Debug)]
@@ -80,47 +77,56 @@ where
     validate_run(&lps, edges, None);
     let mut lps = lps;
     let mut events = vec![0u64; lps.len()];
-    let mut ports: Vec<Port<L::Msg>> = (0..lps.len())
-        .map(|me| Port::new(me, 0.0, out_neighbors(edges, me)))
+    let mut ports: Vec<LpPort<L::Msg>> = (0..lps.len())
+        .map(|me| LpPort::new(me, 0.0, out_neighbors(edges, me)))
         .collect();
+    let mut seqs: Vec<u64> = ports.iter().map(LpPort::first_seq).collect();
     // One global list; the payload carries its destination LP. The `seq`
-    // field holds the cross-LP tie key, as in the parallel engines. (The
-    // cell lets the kernel's `local` and `remote` sinks share the list.)
-    let queue = RefCell::new(PooledQueue::new(BinaryHeapQueue::<u32>::new()));
-    let deliver = |dst: LpId, ev: ScheduledEvent<L::Msg>| {
-        let ev = ScheduledEvent::with_parent(ev.time, ev.seq, ev.parent, (dst, ev.event));
-        queue.borrow_mut().insert(ev);
-    };
-
-    for (me, (lp, port)) in lps.iter_mut().zip(&mut ports).enumerate() {
-        port.dispatch_initial(lp);
-        port.route(|ev| deliver(me, ev), |_, dst, ev| deliver(dst, ev));
+    // field holds the cross-LP tie key, as in the parallel engines.
+    let mut queue = PooledQueue::new(BinaryHeapQueue::<u32>::new());
+    let mut local = Vec::new();
+    for (me, lp) in lps.iter_mut().enumerate() {
+        ports[me].initial(lp, &mut seqs[me], &mut local);
+        file(&mut queue, me, &mut ports[me], &mut local);
     }
 
     loop {
-        let ev = {
-            let mut queue = queue.borrow_mut();
-            if queue.peek_time().is_none_or(|t| t > t_end) {
-                break;
-            }
-            queue.pop_min()
-        };
-        let Some(ev) = ev else {
+        if queue.peek_time().is_none_or(|t| t > t_end) {
+            break;
+        }
+        let Some(ev) = queue.pop_min() else {
             debug_assert!(false, "peeked event vanished");
             break;
         };
         let (me, msg) = ev.event;
         events[me] += 1;
         if Y::ENABLED && tel.tick(ev.time.seconds()) {
-            let len = queue.borrow().len() as f64;
+            let len = queue.len() as f64;
             tel.sample("seq.queue_len", 0, ev.time.seconds(), len);
         }
         let ev = ScheduledEvent::with_parent(ev.time, ev.seq, ev.parent, msg);
-        ports[me].dispatch(&mut lps[me], ev, &mut NoopTracer);
-        ports[me].route(|ev| deliver(me, ev), |_, dst, ev| deliver(dst, ev));
+        ports[me].handle(&mut lps[me], ev, &mut seqs[me], &mut local);
+        file(&mut queue, me, &mut ports[me], &mut local);
     }
 
     (SequentialReport { lps, events }, tel)
+}
+
+/// Files what LP `me`'s handler scheduled (`local`) and sent (staged on
+/// `port`) into the global list, each payload tagged with its destination.
+fn file<M>(
+    queue: &mut impl EventQueue<(LpId, M)>,
+    me: LpId,
+    port: &mut LpPort<M>,
+    local: &mut Vec<ScheduledEvent<M>>,
+) {
+    let tag = |dst, ev: ScheduledEvent<M>| {
+        ScheduledEvent::with_parent(ev.time, ev.seq, ev.parent, (dst, ev.event))
+    };
+    for ev in local.drain(..) {
+        queue.insert(tag(me, ev));
+    }
+    port.drain(|_, dst, ev| queue.insert(tag(dst, ev)));
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! LP pays for every window — idle partitions wait at the barrier
 //! (measured in experiment E4).
 
-use crate::lp::{run_lp_threads, validate_run, LpCore, LpId};
-use lsds_core::{ScheduledEvent, SimTime};
+use crate::lp::{run_lp_threads, validate_run, LpId};
+use lsds_core::{LpCore, ScheduledEvent, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
     TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
@@ -133,8 +133,9 @@ where
         lps,
         mk_tracer,
         mk_tel,
-        |me, lp, mut tracer, mut tel, rx, txs| {
-            let mut core = LpCore::new(me, lp, (0..n).filter(|&d| d != me).collect());
+        |me, lp, tracer, mut tel, rx, txs| {
+            let outs = (0..n).filter(|&d| d != me).collect();
+            let mut core = LpCore::new(me, lp, outs, tracer);
             // A peer that already returned (closing pass, after the last
             // barrier) only drops mail due past t_end — the window
             // invariant (delay ≥ δ) makes such mail unprocessable anyway,
@@ -171,17 +172,15 @@ where
                 // A message landing in an already-processed window would
                 // mean the window invariant was violated; the core's
                 // clock check catches that regression in debug builds.
-                while core.next_time().is_some_and(|t| open(t) && t <= t_end) {
-                    let Some(at) = core.step(&mut tracer, mail) else {
-                        break;
-                    };
+                while let Some(at) = core.next_time().filter(|&t| open(t) && t <= t_end) {
+                    core.step(mail);
                     if Y::ENABLED && tel.tick(at.seconds()) {
                         let len = core.queue_len() as f64;
                         tel.sample("ts.queue_len", me as u32, at.seconds(), len);
                     }
                 }
             }
-            let (lp, events) = core.finish();
+            let (lp, events, tracer) = core.finish();
             (lp, events, tracer, tel)
         },
     );

@@ -28,10 +28,8 @@
 //! canonical order of equal-time events depend on message arrival timing.
 
 use crate::cmb::InitialEvents;
-use crate::lp::{
-    out_neighbors, pack, run_lp_threads, unpack, validate_run, LogicalProcess, LpId, Port,
-};
-use lsds_core::{EventPool, ScheduledEvent, SimTime};
+use crate::lp::{out_neighbors, pack, run_lp_threads, unpack, validate_run, LogicalProcess, LpId};
+use lsds_core::{EventPool, LpPort, ScheduledEvent, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanKind, SpanTrace,
     Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
@@ -283,7 +281,12 @@ struct Engine<'a, L: SaveState, T: Tracer, Y: Telemetry> {
     /// tolerates sends far below the declared one, but not zero-delay
     /// cross-LP sends, which would make the canonical order of equal-time
     /// events depend on arrival timing.
-    port: Port<L::Msg>,
+    port: LpPort<L::Msg>,
+    /// The next tie key; rollback rewinds it, so re-execution regenerates
+    /// identical keys.
+    seq: u64,
+    /// Local events the last handler scheduled, until `flush_staged`.
+    local: Vec<ScheduledEvent<L::Msg>>,
     tracer: T,
     tel: Y,
     /// Unprocessed events in `(time, tie)` order.
@@ -472,7 +475,7 @@ where
                     return;
                 };
                 self.lp.restore(state);
-                self.port.rewind(rec.seq_before);
+                self.seq = rec.seq_before;
             } else if rec.state_slot != NO_STATE {
                 self.states.claim(rec.state_slot);
             }
@@ -524,7 +527,7 @@ where
             NO_STATE
         };
         self.gap += 1;
-        let seq_before = self.port.seq();
+        let seq_before = self.seq;
         let kind = if T::ENABLED {
             self.lp.trace_kind(&msg)
         } else {
@@ -536,10 +539,10 @@ where
         } else {
             None
         };
-        // The span is buffered until commit, so the kernel's
-        // `begin`/`record` bracket gets the no-op tracer.
+        // The span is buffered until commit and emitted by `commit_front`.
         let ev = ScheduledEvent::with_parent(at, tie, parent, msg);
-        self.port.dispatch(&mut self.lp, ev, &mut NoopTracer);
+        self.port
+            .handle(&mut self.lp, ev, &mut self.seq, &mut self.local);
         let wall_ns = wall_start.map_or(0, |s| {
             u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
         });
@@ -578,29 +581,26 @@ where
     /// sends onto the wire — both on record, so a rollback can undo them.
     /// Returns `(remote sends, local schedules)`.
     fn flush_staged(&mut self) -> (u32, u32) {
+        let n_locals = self.local.len() as u32;
+        for ev in self.local.drain(..) {
+            let (at, tie) = (ev.time, ev.seq);
+            let (slot, parent) = (self.pool.park(ev.event), ev.parent);
+            let prev = self
+                .pending
+                .insert(pack(at, tie), PendingEv { slot, parent });
+            debug_assert!(prev.is_none(), "duplicate local event key");
+            self.locals.push_back(LocalRec { at, tie });
+        }
         let mut n_sends = 0u32;
-        let mut n_locals = 0u32;
-        self.port.route(
-            |ev| {
-                let (at, tie) = (ev.time, ev.seq);
-                let (slot, parent) = (self.pool.park(ev.event), ev.parent);
-                let prev = self
-                    .pending
-                    .insert(pack(at, tie), PendingEv { slot, parent });
-                debug_assert!(prev.is_none(), "duplicate local event key");
-                self.locals.push_back(LocalRec { at, tie });
-                n_locals += 1;
-            },
-            |_, dst, ev| {
-                let (at, tie) = (ev.time, ev.seq);
-                self.txs[dst].send(TwPacket::Event(ev)).ok();
-                self.sends.push_back(SendRec { dst, at, tie });
-                self.stats.remote_sent += 1;
-                self.sent_delta += 1;
-                self.min_sent = self.min_sent.min(at.seconds());
-                n_sends += 1;
-            },
-        );
+        self.port.drain(|_, dst, ev| {
+            let (at, tie) = (ev.time, ev.seq);
+            self.txs[dst].send(TwPacket::Event(ev)).ok();
+            self.sends.push_back(SendRec { dst, at, tie });
+            self.stats.remote_sent += 1;
+            self.sent_delta += 1;
+            self.min_sent = self.min_sent.min(at.seconds());
+            n_sends += 1;
+        });
         (n_sends, n_locals)
     }
 
@@ -856,10 +856,13 @@ where
     validate_run(&lps, edges, None);
     let (lps, stats, tracers, tels) =
         run_lp_threads(lps, mk_tracer, mk_tel, |me, lp, tracer, tel, rx, txs| {
+            let port = LpPort::new(me, f64::MIN_POSITIVE, out_neighbors(edges, me));
             let mut engine = Engine {
                 me,
                 lp,
-                port: Port::new(me, f64::MIN_POSITIVE, out_neighbors(edges, me)),
+                seq: port.first_seq(),
+                port,
+                local: Vec::new(),
                 tracer,
                 tel,
                 pending: BTreeMap::new(),
@@ -889,7 +892,9 @@ where
                 cfg,
                 t_end,
             };
-            engine.port.dispatch_initial(&mut engine.lp);
+            engine
+                .port
+                .initial(&mut engine.lp, &mut engine.seq, &mut engine.local);
             engine.flush_staged();
             engine.run()
         });

@@ -21,7 +21,7 @@
 //! round-trip plus an OS thread wake-up. (The optimistic analog — an LP
 //! is runnable when it holds unprocessed events above GVT — drops into
 //! the same scheduler skeleton; [`crate::timewarp`] keeps thread-per-LP
-//! for now and shares the LP kernel in `lp.rs` instead.)
+//! for now and runs its handlers through the same LP port instead.)
 //!
 //! Determinism is inherited wholesale: events carry the same `(time,
 //! source LP, sequence)` tie keys, each LP delivers in ascending
@@ -49,8 +49,8 @@
 //! the receiver could run past a message that had not landed yet.
 
 use crate::cmb::{ChannelClocks, InitialEvents, Tagged};
-use crate::lp::{join, out_neighbors, validate_run, LogicalProcess, LpCore, LpId};
-use lsds_core::SimTime;
+use crate::lp::{join, out_neighbors, validate_run, LogicalProcess, LpId};
+use lsds_core::{LpCore, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, Telemetry, TelemetryConfig,
     TelemetryReport,
@@ -203,7 +203,7 @@ impl<L> WsReport<L> {
 
 /// Mutable state of one LP; every access goes through the slot's mutex.
 struct LpState<L: LogicalProcess> {
-    core: LpCore<L>,
+    core: LpCore<L, NoopTracer>,
     /// Channel clocks as in CMB — but the in-clocks are written directly
     /// by the sending LP's activation, and the out-bounds skip redundant
     /// neighbor locking when the promise has not moved.
@@ -391,15 +391,16 @@ impl<L: LogicalProcess> Scheduler<L> {
             }
             // lsds-lint: allow(wall-clock) reason="scheduler load measurement for epoch rebalancing; feeds worker placement only, never simulated time or results"
             let wall_start = std::time::Instant::now();
-            while did < self.cfg.batch as u64 && st.clocks.runnable(&mut st.core, self.t_end) {
-                // Ties are assigned in staging order; locals go back into
-                // our queue, remotes into the outbox.
-                let Some(at) = st.core.step(&mut NoopTracer, |k, dst, ev| {
-                    st.stats.remote_sent += 1;
-                    outbox.push((dst, st.clocks.depart(k, ev)));
-                }) else {
+            while did < self.cfg.batch as u64 {
+                let Some(at) = st.clocks.next_safe(st.core.next_time(), self.t_end) else {
                     break;
                 };
+                // Ties are assigned in staging order; locals go back into
+                // our queue, remotes into the outbox.
+                st.core.step(|k, dst, ev| {
+                    st.stats.remote_sent += 1;
+                    outbox.push((dst, st.clocks.depart(k, at, ev)));
+                });
                 did += 1;
                 if Y::ENABLED && tel.tick(at.seconds()) {
                     // Deque depth of the executing worker at the sample
@@ -415,10 +416,10 @@ impl<L: LogicalProcess> Scheduler<L> {
             // New promises go out BEHIND the staged events: a bound
             // computed from the drained queue may exceed a staged event's
             // timestamp, so the event must land first.
-            st.clocks.promise(&mut st.core, self.t_end, |dst, null| {
-                outbox.push((dst, null))
-            });
-            if st.clocks.finished(&mut st.core, self.t_end) {
+            let next = st.core.next_time();
+            st.clocks
+                .promise(next, self.t_end, |dst, null| outbox.push((dst, null)));
+            if st.clocks.finished(next, self.t_end) {
                 st.done = true;
                 became_done = true;
             }
@@ -474,10 +475,11 @@ impl<L: LogicalProcess> Scheduler<L> {
             } = &mut *guard;
             // A higher in-clock can raise our own promise even with
             // nothing runnable; neighbors may need it.
+            let next = core.next_time();
             !*done
-                && (clocks.runnable(core, self.t_end)
-                    || clocks.finished(core, self.t_end)
-                    || clocks.can_promise(core, self.t_end))
+                && (clocks.next_safe(next, self.t_end).is_some()
+                    || clocks.finished(next, self.t_end)
+                    || clocks.can_promise(next, self.t_end))
         });
         if rerun {
             self.enqueue(lp);
@@ -490,7 +492,7 @@ impl<L: LogicalProcess> Scheduler<L> {
     fn deliver(&self, dst: LpId, tagged: Tagged<L::Msg>) -> bool {
         self.slots[dst].state.lock().is_ok_and(|mut guard| {
             let LpState { core, clocks, .. } = &mut *guard;
-            clocks.apply(core, tagged)
+            clocks.apply(tagged, |ev| core.accept(ev))
         })
     }
 
@@ -623,16 +625,17 @@ where
     // starts queued on its home deque (round-robin) so each publishes its
     // first bound even if it holds no events.
     let mut initial_remote: Outbox<L::Msg> = Vec::new();
+    let clocks = ChannelClocks::for_topology(&lps, edges);
     let slots: Vec<LpSlot<L>> = lps
         .into_iter()
-        .zip(ChannelClocks::for_topology(n, edges))
+        .zip(clocks)
         .enumerate()
         .map(|(me, (lp, mut clocks))| {
-            let mut core = LpCore::new(me, lp, out_neighbors(edges, me));
+            let mut core = LpCore::new(me, lp, out_neighbors(edges, me), NoopTracer);
             let mut stats = WsStats::default();
             core.init(|k, dst, ev| {
                 stats.remote_sent += 1;
-                initial_remote.push((dst, clocks.depart(k, ev)));
+                initial_remote.push((dst, clocks.depart(k, SimTime::ZERO, ev)));
             });
             LpSlot {
                 state: Mutex::new(LpState {
@@ -702,7 +705,7 @@ where
         // lsds-lint: allow(hot-path-panic) reason="post-run teardown: a panicked worker has already propagated through the thread scope"
         let st = slot.state.into_inner().expect("worker panicked");
         debug_assert!(st.done, "scheduler terminated with an unfinished LP");
-        let (lp, events) = st.core.finish();
+        let (lp, events, _) = st.core.finish();
         lps_out.push(lp);
         stats.push(WsStats { events, ..st.stats });
     }
@@ -930,53 +933,100 @@ mod tests {
         assert!(imb.is_finite() && imb >= 1.0 - 1e-9, "imbalance {imb}");
     }
 
-    /// A model whose per-edge send timestamps decrease (delays vary
-    /// while its clock barely advances) violates the channel-clock
-    /// contract. The causality assertion must abort the whole run —
-    /// every worker exits and the panic propagates — rather than
-    /// stranding peer workers parked forever (debug builds only; the
-    /// check is a `debug_assert`). The driver joins every worker and
-    /// re-raises the first panic with its original payload, so the
-    /// caller sees the assertion's own message.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lookahead violated")]
-    fn non_monotone_sends_abort_instead_of_hanging() {
-        struct Shrinking {
-            sent_far: bool,
+    /// LP 0's first handler sends at t = 1.0, its second (at t = 0.1) at
+    /// t = 0.3: per-edge send timestamps decrease although every delay is
+    /// at least the lookahead. LP 1 holds a local event at t = 0.5, which
+    /// it may not run before the t = 0.3 message lands. Bounds rise only to
+    /// handler time plus lookahead, so the run matches the sequential
+    /// oracle.
+    #[derive(Default)]
+    struct Shrinking {
+        sent_far: bool,
+        log: Vec<(u64, u64)>,
+    }
+    impl LogicalProcess for Shrinking {
+        type Msg = u64;
+        fn handle(&mut self, now: SimTime, v: u64, ctx: &mut LpCtx<'_, u64>) {
+            self.log.push((now.seconds().to_bits(), v));
+            if ctx.me() != 0 {
+                return;
+            }
+            if !self.sent_far {
+                self.sent_far = true;
+                ctx.send(1, 1.0, 1);
+                ctx.schedule_in(0.1, 0);
+            } else {
+                ctx.send(1, 0.2, 2);
+            }
         }
-        impl LogicalProcess for Shrinking {
+        fn lookahead(&self) -> f64 {
+            0.1
+        }
+    }
+    impl InitialEvents for Shrinking {
+        fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
+            match ctx.me() {
+                0 => ctx.schedule_in(0.0, 0),
+                _ => ctx.schedule_in(0.5, 3),
+            }
+        }
+    }
+
+    const ONE_BY_ONE: WsConfig = WsConfig {
+        workers: 2,
+        batch: 1,
+        migration_epoch: None,
+    };
+
+    #[test]
+    fn non_monotone_sends_match_sequential() {
+        let mk = || vec![Shrinking::default(), Shrinking::default()];
+        let t_end = SimTime::new(5.0);
+        let seq = run_sequential(mk(), &[(0, 1)], t_end);
+        let (t03, t05, t1) = ((0.1f64 + 0.2).to_bits(), 0.5f64.to_bits(), 1.0f64.to_bits());
+        assert_eq!(seq.lps[1].log, vec![(t03, 2), (t05, 3), (t1, 1)]);
+        // one worker runs LP 1 right after LP 0's first handler, which is
+        // when a clock raised to t = 1.0 would let it run t = 0.5 too soon
+        for workers in [1, 2] {
+            let cfg = WsConfig {
+                workers,
+                ..ONE_BY_ONE
+            };
+            let ws = run_worksteal_cfg(mk(), &[(0, 1)], t_end, cfg);
+            for (a, b) in ws.lps.iter().zip(&seq.lps) {
+                assert_eq!(a.log, b.log, "{workers} workers");
+            }
+        }
+    }
+
+    /// A panicking handler must abort the whole run — every worker exits
+    /// and the panic propagates — rather than strand peer workers parked
+    /// forever. `run_worksteal_with` joins every worker and re-raises the
+    /// first panic with its original payload, so the caller sees the
+    /// handler's own message.
+    #[test]
+    #[should_panic(expected = "second handler fails")]
+    fn panicking_handler_aborts_instead_of_hanging() {
+        struct Failing(Shrinking);
+        impl LogicalProcess for Failing {
             type Msg = u64;
-            fn handle(&mut self, _now: SimTime, _v: u64, ctx: &mut LpCtx<'_, u64>) {
-                if !self.sent_far {
-                    self.sent_far = true;
-                    ctx.send(1, 1.0, 0); // promises t >= 1.0 on the edge
-                    ctx.schedule_in(0.1, 0);
-                } else {
-                    ctx.send(1, 0.2, 0); // t = 0.3: below the promise
+            fn handle(&mut self, now: SimTime, v: u64, ctx: &mut LpCtx<'_, u64>) {
+                if self.0.sent_far {
+                    panic!("second handler fails");
                 }
+                self.0.handle(now, v, ctx);
             }
             fn lookahead(&self) -> f64 {
-                0.1
+                self.0.lookahead()
             }
         }
-        impl InitialEvents for Shrinking {
+        impl InitialEvents for Failing {
             fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
-                if ctx.me() == 0 {
-                    ctx.schedule_in(0.0, 0);
-                }
+                self.0.initial_events(ctx);
             }
         }
-        run_worksteal_cfg(
-            vec![Shrinking { sent_far: false }, Shrinking { sent_far: false }],
-            &[(0, 1)],
-            SimTime::new(5.0),
-            WsConfig {
-                workers: 2,
-                batch: 1,
-                migration_epoch: None,
-            },
-        );
+        let lps = vec![Failing(Shrinking::default()), Failing(Shrinking::default())];
+        run_worksteal_cfg(lps, &[(0, 1)], SimTime::new(5.0), ONE_BY_ONE);
     }
 
     #[test]

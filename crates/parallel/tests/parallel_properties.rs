@@ -379,6 +379,81 @@ fn engines_agree_on_scale_shape() {
     assert_every_engine_matches_sequential("scale", mk, SCALE_LA, t_end, |l| (l.done, l.acc));
 }
 
+/// Exact cross-LP ties everywhere: a ring under lookahead 1 where every
+/// time is an integer. Each LP starts six tokens, two at each of t = 0, 1
+/// and 2; a handler folds `(now, msg)` into an order-sensitive hash and
+/// passes the token on by a choice drawn from that hash — a local event
+/// at +0 or +1, or a send to the next LP at +1 or +2. So locals tie with
+/// remotes from other LPs at the same instant, a later send on an edge can
+/// land before an earlier one, and any engine that orders one tie
+/// differently ends with other hashes.
+#[derive(Clone)]
+struct TieRing {
+    n: usize,
+    hash: u64,
+    events: u64,
+}
+
+impl LogicalProcess for TieRing {
+    /// `token << 1 | z`, with `z` set when the token's last hop was a
+    /// zero-delay local one (it may not take another, so time advances).
+    type Msg = u64;
+    fn handle(&mut self, now: SimTime, msg: u64, ctx: &mut LpCtx<'_, u64>) {
+        self.events += 1;
+        self.hash = (self.hash ^ now.seconds().to_bits() ^ msg.rotate_left(32))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
+        let (token, next) = (msg & !1, (ctx.me() + 1) % self.n);
+        match (self.hash >> 40) % 4 {
+            0 if msg & 1 == 0 => ctx.schedule_in(0.0, token | 1),
+            0 | 1 => ctx.schedule_in(1.0, token),
+            2 => ctx.send(next, 1.0, token),
+            _ => ctx.send(next, 2.0, token),
+        }
+    }
+    fn lookahead(&self) -> f64 {
+        1.0
+    }
+}
+
+impl InitialEvents for TieRing {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
+        for i in 0..6u64 {
+            let token = (ctx.me() as u64 * 6 + i) << 1;
+            ctx.schedule_in((i % 3) as f64, token);
+        }
+    }
+}
+
+impl SaveState for TieRing {
+    type Saved = (u64, u64);
+    fn save(&self) -> (u64, u64) {
+        (self.hash, self.events)
+    }
+    fn restore(&mut self, saved: (u64, u64)) {
+        (self.hash, self.events) = saved;
+    }
+}
+
+#[test]
+fn engines_agree_on_exact_cross_lp_ties() {
+    for n in [2, 3, 5] {
+        for delta in [0.5, 1.0] {
+            let mk = || {
+                (0..n)
+                    .map(|i| TieRing {
+                        n,
+                        hash: i as u64,
+                        events: 0,
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let case = format!("ties n={n} delta={delta}");
+            assert_every_engine_matches_sequential(&case, mk, delta, 40.0, |l| (l.events, l.hash));
+        }
+    }
+}
+
 /// Sends to the next LP although no edge is declared at all. Every LP
 /// misbehaves and none has an in-edge to wait on, so every LP thread of
 /// the thread-per-LP engines terminates (a lone panicking LP would leave

@@ -7,8 +7,10 @@
 //! inside the allocator), so tests running on parallel threads never see
 //! each other's allocations.
 
-use lsds::core::{Schedule, SimTime};
+use lsds::core::{BinaryHeapQueue, Ctx, EventDriven, Model, PooledQueue, Schedule, SimTime};
 use lsds::net::{gbps, FlowEvent, FlowNet, LinkFault, LinkId, NodeId, NodeKind, Topology};
+use lsds::parallel::cmb::InitialEvents;
+use lsds::parallel::{run_sequential, LogicalProcess, LpCtx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -173,4 +175,88 @@ fn try_start_served_from_route_cache_allocates_nothing() {
         net.cancel(id.expect("route"), &mut sched);
     }
     assert_eq!(net.route_cache_stats(), (hits + 15, misses));
+}
+
+/// A ring of LPs passing two tokens each; a token alternates between a
+/// local hop (+0.5) and a send to the next LP (+1.0), so every delivery
+/// schedules exactly one event and the pending count never changes.
+struct Relay {
+    n: usize,
+}
+
+impl LogicalProcess for Relay {
+    type Msg = u64;
+    fn handle(&mut self, _now: SimTime, hop: u64, ctx: &mut LpCtx<'_, u64>) {
+        if hop.is_multiple_of(2) {
+            ctx.schedule_in(0.5, hop + 1);
+        } else {
+            ctx.send((ctx.me() + 1) % self.n, 1.0, hop + 1);
+        }
+    }
+    fn lookahead(&self) -> f64 {
+        1.0
+    }
+}
+
+impl InitialEvents for Relay {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
+        ctx.schedule_in(0.0, 0);
+        ctx.schedule_in(0.25, 1);
+    }
+}
+
+/// Allocations of one `run_sequential` of the relay ring to `t_end`, and
+/// the events it delivered.
+fn relay_allocations(t_end: f64) -> (u64, u64) {
+    let n = 4;
+    let lps: Vec<Relay> = (0..n).map(|_| Relay { n }).collect();
+    let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    let (report, allocs) = allocations(|| run_sequential(lps, &edges, SimTime::new(t_end)));
+    (report.total_events(), allocs)
+}
+
+/// The sequential oracle runs every handler through the LP port over
+/// reused buffers: what a run allocates (ports, counters, the global
+/// list) does not depend on how many events it delivers.
+#[test]
+fn sequential_oracle_allocations_do_not_grow_with_events() {
+    let (short_events, short) = relay_allocations(100.0);
+    let (long_events, long) = relay_allocations(1_000.0);
+    assert!((1_000..1_200).contains(&short_events), "{short_events}");
+    assert!((10_000..12_000).contains(&long_events), "{long_events}");
+    assert_eq!(short, long);
+}
+
+/// The hold model: every event reschedules itself after a pseudo-random
+/// delay, so the pending count stays at its initial fill.
+struct Hold {
+    state: u64,
+}
+
+impl Model for Hold {
+    type Event = u32;
+    fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let u = (self.state >> 11) as f64 / (1u64 << 53) as f64;
+        ctx.schedule_in(0.5 + u, ev);
+    }
+}
+
+/// DESIGN §6c: once the pooled event list has reached its size, the
+/// engine delivers and reschedules without allocating.
+#[test]
+fn event_driven_pooled_heap_allocates_nothing_per_event() {
+    let queue = PooledQueue::new(BinaryHeapQueue::new());
+    let mut engine = EventDriven::with_queue(Hold { state: 7 }, queue);
+    for ev in 0..1_000 {
+        engine.schedule(SimTime::new(ev as f64 / 1_000.0), ev);
+    }
+    engine.run_until(SimTime::new(10.0));
+    let before = engine.processed();
+    let (_, n) = allocations(|| engine.run_until(SimTime::new(30.0)));
+    assert!(engine.processed() - before > 10_000);
+    assert_eq!(n, 0);
 }
