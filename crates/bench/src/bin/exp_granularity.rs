@@ -10,6 +10,11 @@
 //! fidelity (store-and-forward pipelining, queueing), and the cost in
 //! simulation events and wall time.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the exhibits' wall-clock columns time the simulator from outside; no simulated state reads the clock"
+)]
+
 use lsds_core::{Ctx, EventDriven, Model, SimTime};
 use lsds_net::{FlowEvent, FlowNet, NodeId, NodeKind, PacketEvent, PacketNet, Topology};
 use lsds_trace::TextTable;

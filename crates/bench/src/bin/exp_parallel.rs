@@ -14,6 +14,11 @@
 //!   worker pool (`--workers N`, default host parallelism), where the
 //!   sync column counts shared-memory bound updates instead of nulls.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the exhibits' wall-clock columns time the simulator from outside; no simulated state reads the clock"
+)]
+
 use lsds_core::{Ctx, EventDriven, Model, SimTime};
 use lsds_parallel::cmb::InitialEvents;
 use lsds_parallel::{run_cmb, run_worksteal_cfg, LogicalProcess, LpCtx, WsConfig};

@@ -26,6 +26,10 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the exhibits' wall-clock columns time the simulator from outside; no simulated state reads the clock"
+)]
 
 pub mod workloads;
 

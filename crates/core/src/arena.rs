@@ -19,6 +19,9 @@
 //!
 //! Both are deliberately dependency-free and `unsafe`-free; `Slab` keeps
 //! vacant slots as `None`, trading a word of padding for safety.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 /// A free-list arena: `O(1)` insert/remove/lookup by `u32` handle.
 ///
@@ -169,7 +172,10 @@ impl<T> std::ops::Index<u32> for Slab<T> {
     fn index(&self, slot: u32) -> &T {
         match self.slots[slot as usize].as_ref() {
             Some(v) => v,
-            // lsds-lint: allow(hot-path-panic) reason="indexing a vacant slot is a caller bug; Index has no fallible signature — fallible callers use get()"
+            #[expect(
+                clippy::panic,
+                reason = "indexing a vacant slot is a caller bug; Index has no fallible signature — fallible callers use get()"
+            )]
             None => panic!("vacant slab slot {slot}"),
         }
     }
@@ -180,7 +186,10 @@ impl<T> std::ops::IndexMut<u32> for Slab<T> {
     fn index_mut(&mut self, slot: u32) -> &mut T {
         match self.slots[slot as usize].as_mut() {
             Some(v) => v,
-            // lsds-lint: allow(hot-path-panic) reason="indexing a vacant slot is a caller bug; IndexMut has no fallible signature — fallible callers use get_mut()"
+            #[expect(
+                clippy::panic,
+                reason = "indexing a vacant slot is a caller bug; IndexMut has no fallible signature — fallible callers use get_mut()"
+            )]
             None => panic!("vacant slab slot {slot}"),
         }
     }

@@ -120,8 +120,11 @@ impl<M> LpCtx<'_, M> {
         let (me, la) = (port.me, port.lookahead);
         assert!(delay >= la, "send delay {delay} below lookahead {la}");
         assert!(dst != me, "use schedule_in for local events");
+        #[expect(
+            clippy::panic,
+            reason = "designed behaviour: a send outside the declared topology is a model bug and must fail the same way in every engine and build profile, not be dropped"
+        )]
         let Some(k) = port.outs.iter().position(|&d| d == dst) else {
-            // lsds-lint: allow(hot-path-panic) reason="designed behaviour: a send outside the declared topology is a model bug and must fail the same way in every engine and build profile, not be dropped"
             panic!("LP {me} sent to LP {dst}: no declared edge");
         };
         let at = self.ctx.now.after(delay);

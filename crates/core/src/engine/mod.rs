@@ -25,6 +25,9 @@
 //! The same kernel delivers the logical processes of `lsds-parallel`:
 //! [`LogicalProcess`] and [`LpCtx`] live here, and the distributed engines
 //! add only their synchronisation policy.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod event_driven;
 mod hybrid;

@@ -20,6 +20,9 @@
 //! the pool pays for itself once `size_of::<E>()` clearly exceeds the
 //! 32-byte key record. `QueueKind::build_pooled` exists so experiments can
 //! race both representations.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::arena::Slab;
 use crate::event::ScheduledEvent;

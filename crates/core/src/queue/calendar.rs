@@ -50,11 +50,6 @@ impl<E> DayRing<E> {
     }
 
     #[inline]
-    fn len(&self) -> usize {
-        self.events.len() - self.head
-    }
-
-    #[inline]
     fn front(&self) -> Option<&ScheduledEvent<E>> {
         self.events.get(self.head).and_then(|o| o.as_ref())
     }
@@ -152,9 +147,11 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Diagnostic: (nbuckets, width, max bucket len, nonempty buckets).
-    pub fn debug_shape(&self) -> (usize, f64, usize, usize) {
-        let maxb = self.buckets.iter().map(|b| b.len()).max().unwrap_or(0);
-        let ne = self.buckets.iter().filter(|b| b.len() > 0).count();
+    #[cfg(test)]
+    fn debug_shape(&self) -> (usize, f64, usize, usize) {
+        let len = |b: &DayRing<E>| b.events.len() - b.head;
+        let maxb = self.buckets.iter().map(len).max().unwrap_or(0);
+        let ne = self.buckets.iter().filter(|b| len(b) > 0).count();
         (self.buckets.len(), self.width, maxb, ne)
     }
 

@@ -22,6 +22,9 @@
 //! All four deliver events in identical `(time, seq)` order, so swapping the
 //! structure never changes simulation *results*, only simulator performance
 //! — a property the integration tests assert.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod binary_heap;
 mod calendar;

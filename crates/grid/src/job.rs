@@ -1,4 +1,7 @@
 //! Jobs — the unit of user work.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::replication::FileId;
 use crate::site::SiteId;

@@ -12,6 +12,9 @@
 //!   constrained cost/time optimization across priced resources.
 //! * [`DataAware`] — ChicagoSim: "scheduling strategies in conjunction
 //!   with data location"; jobs go where their data (mostly) is.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::job::JobSpec;
 use crate::site::SiteId;
@@ -198,6 +201,10 @@ impl SchedulerPolicy for Economy {
         let deadline = job.deadline.unwrap_or(f64::INFINITY);
         let budget = job.budget.unwrap_or(f64::INFINITY);
         let mut best: Option<(f64, SiteId)> = None;
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact tie on an objective computed once per site; equal objectives fall back to the lower site id"
+        )]
         for s in view.eligible() {
             let t = s.completion_estimate(job.work, self.backlog_work_guess);
             let cost = s.price * job.work;

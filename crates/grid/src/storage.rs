@@ -4,6 +4,9 @@
 //! (§3); MONARC's regional centers bundle "database servers and mass
 //! storage units" (§4). Disk capacity and eviction order are what the
 //! replication strategies of E7/E8 manipulate.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::replication::FileId;
 use lsds_core::{IdMap, Schedule, SimTime, Slab};

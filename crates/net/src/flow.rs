@@ -22,6 +22,9 @@
 //! side on seeded random workloads (including faults) and asserts
 //! identical trajectories. See DESIGN.md §"Incremental flow-level
 //! sharing" for the invariant.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::fault::LinkFault;
 use crate::routing::{RouteCache, Routing};
@@ -335,6 +338,10 @@ fn least_positions(xs: &[f64], out: &mut Vec<usize>) -> f64 {
     }
     out.clear();
     if least < f64::INFINITY {
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact tie: `least` is one of the values of `xs`, computed once and compared unchanged"
+        )]
         out.extend((0..xs.len()).filter(|&p| xs[p] == least));
     }
     least
@@ -605,6 +612,10 @@ impl FlowNet {
     /// Panics if `dst` is unreachable from `src`; on a network with
     /// injected faults use [`FlowNet::try_start`], since unreachability is
     /// a normal transient condition there.
+    #[expect(
+        clippy::panic,
+        reason = "start() is the documented panicking wrapper; fault-tolerant callers use try_start()"
+    )]
     pub fn start(
         &mut self,
         src: NodeId,
@@ -614,7 +625,6 @@ impl FlowNet {
         sched: &mut impl Schedule<FlowEvent>,
     ) -> FlowId {
         self.try_start(src, dst, bytes, tag, sched)
-            // lsds-lint: allow(hot-path-panic) reason="start() is the documented panicking wrapper; fault-tolerant callers use try_start()"
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -1386,6 +1396,10 @@ impl FlowNet {
         let (mut least, mut next) = (f64::INFINITY, 0);
         s.tied.clear();
         while unassigned > 0 {
+            #[expect(
+                clippy::float_cmp,
+                reason = "exact tie: a tied share is skipped only when it rose since `least_positions` stored it"
+            )]
             while next < s.tied.len() && s.share[s.tied[next]] != least {
                 next += 1;
             }

@@ -24,6 +24,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// exact float equality in order-sensitive code must say why it is exact
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod fault;
 pub mod flow;

@@ -1,4 +1,7 @@
 //! Shortest-path routing over a [`Topology`], plus a pairwise route cache.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::topology::{LinkId, NodeId, Topology};
 use std::cell::RefCell;

@@ -22,6 +22,9 @@
 //! telemetry-enabled run is bit-identical to a plain run by construction
 //! (property-tested across all six engines in
 //! `crates/parallel/tests/telemetry_properties.rs`).
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::registry::Registry;
 use std::collections::BTreeMap;
@@ -420,7 +423,10 @@ impl ProgressReporter {
     pub fn with_interval(t_end: f64, interval_ms: u64) -> Self {
         ProgressReporter {
             t_end,
-            // lsds-lint: allow(wall-clock) reason="progress reporting measures host elapsed time for events/sec and ETA; it never feeds back into simulated time"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "progress reporting measures host elapsed time for events/sec and ETA; it never feeds back into simulated time"
+            )]
             start: Instant::now(),
             events: AtomicU64::new(0),
             vt_bits: AtomicU64::new(0),

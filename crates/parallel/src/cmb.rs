@@ -405,7 +405,10 @@ where
                 if Y::ENABLED {
                     tel.inc("cmb.blocks", me as u32, 1);
                 }
-                // lsds-lint: allow(wall-clock) reason="telemetry measures host time blocked on input; never feeds back into simulated time or delivery order"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "telemetry measures host time blocked on input; never feeds back into simulated time or delivery order"
+                )]
                 let blocked_from = Y::ENABLED.then(std::time::Instant::now);
                 let received = rx.recv();
                 if let Some(from) = blocked_from {

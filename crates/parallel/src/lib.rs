@@ -38,6 +38,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// exact float equality in order-sensitive code must say why it is exact
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod cmb;
 pub mod lp;

@@ -155,7 +155,10 @@ where
                 if w > 0 {
                     if Y::ENABLED {
                         tel.inc("ts.barrier_waits", me as u32, 1);
-                        // lsds-lint: allow(wall-clock) reason="telemetry measures host time waiting at the window barrier; never feeds back into simulated time or delivery order"
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "telemetry measures host time waiting at the window barrier; never feeds back into simulated time or delivery order"
+                        )]
                         let from = std::time::Instant::now();
                         barrier.wait();
                         tel.inc("ts.barrier_ns", me as u32, from.elapsed().as_nanos() as u64);

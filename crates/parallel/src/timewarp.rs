@@ -533,8 +533,11 @@ where
         } else {
             SpanKind::DEFAULT
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "profiler measures host handler cost, buffered until commit; never feeds back into simulated time"
+        )]
         let wall_start = if T::ENABLED {
-            // lsds-lint: allow(wall-clock) reason="profiler measures host handler cost, buffered until commit; never feeds back into simulated time"
             Some(std::time::Instant::now())
         } else {
             None

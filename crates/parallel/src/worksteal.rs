@@ -389,7 +389,10 @@ impl<L: LogicalProcess> Scheduler<L> {
             if Y::ENABLED {
                 tel.inc("ws.activations", me as u32, 1);
             }
-            // lsds-lint: allow(wall-clock) reason="scheduler load measurement for epoch rebalancing; feeds worker placement only, never simulated time or results"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "scheduler load measurement for epoch rebalancing; feeds worker placement only, never simulated time or results"
+            )]
             let wall_start = std::time::Instant::now();
             while did < self.cfg.batch as u64 {
                 let Some(at) = st.clocks.next_safe(st.core.next_time(), self.t_end) else {
@@ -702,7 +705,10 @@ where
     };
     for slot in sched.slots {
         cost_ns.push(slot.cost_total_ns.load(SeqCst));
-        // lsds-lint: allow(hot-path-panic) reason="post-run teardown: a panicked worker has already propagated through the thread scope"
+        #[expect(
+            clippy::expect_used,
+            reason = "post-run teardown: a panicked worker has already propagated through the thread scope"
+        )]
         let st = slot.state.into_inner().expect("worker panicked");
         debug_assert!(st.done, "scheduler terminated with an unfinished LP");
         let (lp, events, _) = st.core.finish();

@@ -604,27 +604,67 @@ impl SaveState for Chaotic {
     }
 }
 
+/// [`Chaotic`] with one more field, which `handle` increments and `save()`
+/// leaves out: an incomplete [`SaveState`]. Every rolled-back delivery
+/// leaves its increment behind.
+#[derive(Clone)]
+struct Leaky {
+    inner: Chaotic,
+    skew: u64,
+}
+
+impl LogicalProcess for Leaky {
+    type Msg = u64;
+    fn handle(&mut self, now: SimTime, v: u64, ctx: &mut LpCtx<'_, u64>) {
+        self.skew += 1;
+        self.inner.handle(now, v, ctx);
+    }
+    fn lookahead(&self) -> f64 {
+        self.inner.lookahead()
+    }
+}
+
+impl InitialEvents for Leaky {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
+        self.inner.initial_events(ctx);
+    }
+}
+
+impl SaveState for Leaky {
+    type Saved = (u64, u64);
+    fn save(&self) -> (u64, u64) {
+        self.inner.save()
+    }
+    fn restore(&mut self, saved: (u64, u64)) {
+        self.inner.restore(saved);
+    }
+}
+
+const STRAGGLER_TRIALS: u64 = 12;
+
+/// One forced-straggler trial: its LPs, ring edges and horizon.
+fn straggler_trial(trial: u64) -> (Vec<Chaotic>, Vec<(usize, usize)>, SimTime) {
+    let mut rng = SimRng::new(0x7153 + trial);
+    let n = 2 + rng.next_below(3) as usize;
+    let until = 10.0 + rng.next_below(20) as f64;
+    let lps = (0..n)
+        .map(|i| Chaotic {
+            n,
+            acc: 0x9e37 + i as u64 + rng.next_below(1000),
+            events: 0,
+            local_dt: 0.05 + (i as f64) * 0.03,
+            until,
+        })
+        .collect();
+    (lps, ring_edges(n), SimTime::new(until))
+}
+
 #[test]
 fn forced_stragglers_bit_identical_across_seeds() {
     let mut total_rollbacks = 0u64;
-    for trial in 0..12 {
-        let mut rng = SimRng::new(0x7153 + trial);
-        let n = 2 + rng.next_below(3) as usize;
-        let until = 10.0 + rng.next_below(20) as f64;
-        let mk = |rng: &mut SimRng| -> Vec<Chaotic> {
-            (0..n)
-                .map(|i| Chaotic {
-                    n,
-                    acc: 0x9e37 + i as u64 + rng.next_below(1000),
-                    events: 0,
-                    local_dt: 0.05 + (i as f64) * 0.03,
-                    until,
-                })
-                .collect()
-        };
-        let proto = mk(&mut rng);
-        let edges = ring_edges(n);
-        let t_end = SimTime::new(until);
+    for trial in 0..STRAGGLER_TRIALS {
+        let (proto, edges, t_end) = straggler_trial(trial);
+        let n = proto.len();
         let seq = run_sequential(proto.clone(), &edges, t_end);
         let tw = run_timewarp(proto, &edges, t_end);
         // bit-identical final state
@@ -651,6 +691,27 @@ fn forced_stragglers_bit_identical_across_seeds() {
     assert!(
         total_rollbacks > 0,
         "straggler workload never forced a rollback — test lost its teeth"
+    );
+}
+
+/// The forced-rollback harness must see state that `save()` omits: on the
+/// same trials, a model with an incomplete [`SaveState`] has to end Time
+/// Warp in a different state than the sequential run at least once.
+#[test]
+fn forced_stragglers_expose_state_missing_from_save() {
+    let diverged = (0..STRAGGLER_TRIALS).any(|trial| {
+        let (proto, edges, t_end) = straggler_trial(trial);
+        let leaky: Vec<Leaky> = proto
+            .into_iter()
+            .map(|inner| Leaky { inner, skew: 0 })
+            .collect();
+        let seq = run_sequential(leaky.clone(), &edges, t_end);
+        let tw = run_timewarp(leaky, &edges, t_end);
+        seq.lps.iter().zip(&tw.lps).any(|(s, t)| s.skew != t.skew)
+    });
+    assert!(
+        diverged,
+        "no trial rolled back a leaky LP — the harness cannot see a field save() omits"
     );
 }
 

@@ -15,6 +15,9 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod analysis;
 mod span;

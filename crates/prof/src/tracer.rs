@@ -200,11 +200,14 @@ impl Tracer for RingTracer {
     type Token = Option<Instant>;
 
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profiler measures host handler cost; never feeds back into simulated time"
+    )]
     fn begin(&mut self, id: u64) -> Self::Token {
         if self.cfg.sample > 1 && !id.is_multiple_of(self.cfg.sample) {
             return None;
         }
-        // lsds-lint: allow(wall-clock) reason="profiler measures host handler cost; never feeds back into simulated time"
         Some(Instant::now())
     }
 

@@ -65,7 +65,7 @@ impl JacksonNetwork {
 
     /// Solves the traffic equations by fixed-point iteration (the open
     /// network's spectral radius < 1 guarantees convergence).
-    #[allow(clippy::needless_range_loop)] // matrix indexing reads clearer
+    #[expect(clippy::needless_range_loop, reason = "matrix indexing reads clearer")]
     pub fn traffic(&self) -> Vec<f64> {
         let n = self.external.len();
         let mut lambda = self.external.clone();

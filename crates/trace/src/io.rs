@@ -3,6 +3,9 @@
 //! One record per line keeps files streamable and appendable, matching
 //! how monitoring systems actually emit data. Serialization goes through
 //! the in-tree [`crate::json`] module so the workspace builds offline.
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::json::{self, Json};
 use crate::record::{MonitorRecord, Trace};
@@ -181,6 +184,22 @@ mod tests {
         assert_eq!(
             error_of(doc.as_bytes()),
             "line 1, column 43: field 'time' must be finite and non-negative"
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let head = r#"{"time":1,"node":"a","metric":"m","value":2,"x":"#;
+        // the record's object is the first of the 128 levels allowed
+        let at_cap = format!("{head}{}{}}}\n", "[".repeat(127), "]".repeat(127));
+        assert_eq!(read_trace(at_cap.as_bytes()).unwrap().records().len(), 1);
+        let deep = format!("{head}{}\n", "[".repeat(1_000_000));
+        assert_eq!(
+            error_of(deep.as_bytes()),
+            format!(
+                "line 1, column {}: arrays and objects nested deeper than 128",
+                head.len() + 128
+            )
         );
     }
 

@@ -7,6 +7,9 @@
 //! survives a write→read cycle bit-for-bit for finite values. The same
 //! parser also reads trace records straight into [`MonitorRecord`]
 //! without building a tree (the JSON-lines reader in [`crate::io`]).
+// engine hot path: a failure here is a fallible result, not a panic
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::record::MonitorRecord;
 use std::borrow::Cow;
@@ -281,10 +284,16 @@ impl<T> Member<T> {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a long enough run of `[` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -293,7 +302,20 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Enters one more array or object; the caller leaves it with
+    /// `depth -= 1` once its closing bracket is consumed.
+    fn descend(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nested deeper than {MAX_DEPTH}"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn err(&self, message: &str) -> JsonError {
@@ -382,11 +404,13 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
+        self.descend()?;
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -397,6 +421,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
@@ -420,10 +445,12 @@ impl<'a> Parser<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
+        self.descend()?;
         self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(());
         }
         loop {
@@ -438,6 +465,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
@@ -625,6 +653,17 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let err = Json::parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, "arrays and objects nested deeper than 128");
     }
 
     #[test]

@@ -17,3 +17,8 @@ pub use lsds_queueing as queueing;
 pub use lsds_simulators as simulators;
 pub use lsds_stats as stats;
 pub use lsds_trace as trace;
+
+#[cfg(test)]
+mod lexer;
+#[cfg(test)]
+mod rules;
