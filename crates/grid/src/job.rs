@@ -6,6 +6,8 @@
 use crate::replication::FileId;
 use crate::site::SiteId;
 use lsds_core::SimTime;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Identifier of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,6 +98,38 @@ impl JobRecord {
     /// Execution time.
     pub fn exec_time(&self) -> f64 {
         self.finished - self.started
+    }
+}
+
+/// The finished-job records of a [`crate::GridModel`], shared
+/// copy-on-write with the [`crate::GridReport`]s it hands out: a report
+/// costs one reference count, not a copy of every record. The model's next
+/// push copies the records only while a report taken earlier is still
+/// alive, so it never costs more than copying them into that report would
+/// have.
+#[derive(Debug, Clone, Default)]
+pub struct JobRecords(Arc<Vec<JobRecord>>);
+
+impl JobRecords {
+    pub(crate) fn push(&mut self, record: JobRecord) {
+        Arc::make_mut(&mut self.0).push(record);
+    }
+}
+
+impl Deref for JobRecords {
+    type Target = [JobRecord];
+
+    fn deref(&self) -> &[JobRecord] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a JobRecords {
+    type Item = &'a JobRecord;
+    type IntoIter = std::slice::Iter<'a, JobRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
     }
 }
 

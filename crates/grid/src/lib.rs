@@ -44,7 +44,7 @@ pub mod storage;
 pub use activity::Activity;
 pub use cpu::{CpuEvent, CpuFarm, Sharing};
 pub use fault::{FaultEvent, FaultKind, FaultSchedule};
-pub use job::{JobId, JobRecord, JobSpec};
+pub use job::{JobId, JobRecord, JobRecords, JobSpec};
 pub use model::{GridConfig, GridEvent, GridModel, GridReport};
 pub use organization::Organization;
 pub use replication::{FileCatalog, FileId, ReplicationPolicy};

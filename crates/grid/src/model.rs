@@ -9,7 +9,7 @@
 use crate::activity::{Activity, ActivityEvent};
 use crate::cpu::CpuEvent;
 use crate::fault::{FaultKind, FaultSchedule};
-use crate::job::{JobId, JobRecord, JobSpec};
+use crate::job::{JobId, JobRecord, JobRecords, JobSpec};
 use crate::organization::BuiltGrid;
 use crate::replication::{FileCatalog, FileId, PushTracker, ReplicationAgent, ReplicationPolicy};
 use crate::scheduler::{Placement, PlacementView, SchedulerPolicy, SiteSnapshot};
@@ -18,7 +18,7 @@ use crate::storage::{DbEvent, FileMeta, TapeEvent};
 use lsds_core::{Ctx, EventDriven, IdMap, Model, SimTime, Slab};
 use lsds_net::{FlowEvent, FlowNet, NodeId, RetryPolicy};
 use lsds_obs::{Registry, SpanKind};
-use lsds_stats::{Dist, SimRng, Summary};
+use lsds_stats::{Dist, SimRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Transfer purposes, encoded in flow tags.
@@ -161,8 +161,8 @@ struct GridObs {
 /// Aggregated outcome of a grid run.
 #[derive(Debug, Clone)]
 pub struct GridReport {
-    /// Per-job records.
-    pub records: Vec<JobRecord>,
+    /// Per-job records, in completion order; shared with the model.
+    pub records: JobRecords,
     /// Jobs rejected by the broker (economy infeasibility).
     pub rejected: u64,
     /// Total bytes staged over the WAN.
@@ -230,7 +230,7 @@ pub struct GridModel {
     awaiting_db: HashMap<u64, (JobSpec, SiteId)>,
     tape_recalls: u64,
     db_queries: u64,
-    records: Vec<JobRecord>,
+    records: JobRecords,
     rejected: u64,
     wan_bytes: f64,
     /// Fault events to inject, scheduled at `Init`.
@@ -348,7 +348,7 @@ impl GridModel {
             awaiting_db: HashMap::new(),
             tape_recalls: 0,
             db_queries: 0,
-            records: Vec::new(),
+            records: JobRecords::default(),
             rejected: 0,
             wan_bytes: 0.0,
             faults: FaultSchedule::new(),
@@ -535,19 +535,20 @@ impl GridModel {
 
     /// Aggregate report.
     pub fn report(&self) -> GridReport {
-        let mut makespan = Summary::new();
-        let mut stage = Summary::new();
-        let mut cost = 0.0;
-        let mut with_deadline = 0u64;
-        let mut met = 0u64;
+        let (mut makespan, mut stage, mut cost) = (0.0, 0.0, 0.0);
+        let (mut jobs, mut met) = (0u64, 0u64);
         for r in &self.records {
-            makespan.add(r.makespan());
-            stage.add(r.stage_time());
+            jobs += 1;
+            // Welford's running means, bit for bit as `Summary::mean` has
+            // them but without its histogram: a report allocates nothing
+            // per finished job
+            let n = jobs as f64;
+            makespan += (r.makespan() - makespan) / n;
+            stage += (r.stage_time() - stage) / n;
             cost += r.cost;
             if r.deadline_met {
                 met += 1;
             }
-            with_deadline += 1;
         }
         GridReport {
             records: self.records.clone(),
@@ -556,12 +557,12 @@ impl GridModel {
             pushes: self.push_tracker.pushes(),
             agent_shipped: self.agent.as_ref().map_or(0, |a| a.shipped()),
             produced: self.produced,
-            mean_makespan: makespan.mean(),
-            mean_stage_time: stage.mean(),
-            deadline_hit_rate: if with_deadline == 0 {
+            mean_makespan: makespan,
+            mean_stage_time: stage,
+            deadline_hit_rate: if jobs == 0 {
                 1.0
             } else {
-                met as f64 / with_deadline as f64
+                met as f64 / jobs as f64
             },
             total_cost: cost,
             tape_recalls: self.tape_recalls,
@@ -1396,13 +1397,14 @@ mod tests {
     use crate::organization::{flat_grid, tiered_grid, SiteSpec};
     use crate::scheduler::{DataAware, LeastLoaded};
     use lsds_net::mbps;
+    use lsds_stats::Summary;
 
     fn flat(n: usize) -> BuiltGrid {
         flat_grid(vec![SiteSpec::default(); n], mbps(800.0), 0.005)
     }
 
-    fn run_compute_only(seed: u64) -> GridReport {
-        let cfg = GridConfig {
+    fn compute_only(seed: u64) -> GridConfig {
+        GridConfig {
             grid: flat(4),
             policy: Box::new(LeastLoaded),
             replication: ReplicationPolicy::None,
@@ -1414,10 +1416,32 @@ mod tests {
             eligible: None,
             initial_files: vec![],
             seed,
-        };
-        let mut sim = GridModel::build(cfg);
+        }
+    }
+
+    fn run_compute_only(seed: u64) -> GridReport {
+        let mut sim = GridModel::build(compute_only(seed));
         sim.run_until(SimTime::new(100_000.0));
         sim.model().report()
+    }
+
+    /// A report shares the model's records copy-on-write: one taken
+    /// mid-run keeps what it saw while the model runs on, and taking it
+    /// changes nothing in the run. Debug text compares every field, and
+    /// its `f64`s round-trip, so equal text means equal bits.
+    #[test]
+    fn mid_run_report_is_a_snapshot() {
+        let mut sim = GridModel::build(compute_only(3));
+        sim.run_until(SimTime::new(60.0));
+        let early = sim.model().report();
+        let seen = format!("{:?}", early.records);
+        let done = early.records.len();
+        assert!((1..50).contains(&done), "{done} finished at t = 60");
+        sim.run_until(SimTime::new(100_000.0));
+        let last = sim.model().report();
+        assert_eq!(format!("{:?}", early.records), seen);
+        assert_eq!(last.records.len(), 50);
+        assert_eq!(format!("{last:?}"), format!("{:?}", run_compute_only(3)));
     }
 
     #[test]
@@ -1427,11 +1451,17 @@ mod tests {
         assert_eq!(rep.rejected, 0);
         assert_eq!(rep.wan_bytes, 0.0);
         assert!(rep.mean_makespan > 0.0);
+        let (mut makespan, mut stage) = (Summary::new(), Summary::new());
         for r in &rep.records {
             assert!(r.finished >= r.started);
             assert!(r.started >= r.staged);
             assert!(r.staged >= r.submitted);
+            makespan.add(r.makespan());
+            stage.add(r.stage_time());
         }
+        // the report's running means are `Summary`'s, bit for bit
+        assert_eq!(rep.mean_makespan.to_bits(), makespan.mean().to_bits());
+        assert_eq!(rep.mean_stage_time.to_bits(), stage.mean().to_bits());
     }
 
     #[test]

@@ -86,14 +86,14 @@ mod tests {
         let recs = trace.records();
         assert!(recs.iter().all(|r| r.time < 500.0));
         assert!(recs.windows(2).all(|w| w[0].time <= w[1].time));
-        assert!(recs.iter().all(|r| r.metric == "job_arrival"));
+        assert!(recs.iter().all(|r| &*r.metric == "job_arrival"));
     }
 
     #[test]
     fn covers_all_nodes() {
         let trace = gen(3).generate(200.0);
         for n in ["n0", "n1", "n2"] {
-            assert!(trace.records().iter().any(|r| r.node == n));
+            assert!(trace.records().iter().any(|r| &*r.node == n));
         }
     }
 

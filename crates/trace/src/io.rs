@@ -7,25 +7,51 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::json::{self, Json};
+use crate::json;
 use crate::record::{MonitorRecord, Trace};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
-fn record_to_json(rec: &MonitorRecord) -> Json {
-    Json::Obj(vec![
-        ("time".to_string(), Json::Num(rec.time)),
-        ("node".to_string(), Json::Str(rec.node.clone())),
-        ("metric".to_string(), Json::Str(rec.metric.clone())),
-        ("value".to_string(), Json::Num(rec.value)),
-    ])
-}
-
-/// Writes a trace as JSON lines.
+/// Writes a trace as JSON lines, one record per line.
+///
+/// Only a trace that [`read_trace`] reads back bit for bit is written:
+/// JSON has no NaN or infinity, and the reader rejects a negative `time`.
+/// A record whose `time` is not finite and non-negative, or whose `value`
+/// is not finite, is an [`io::ErrorKind::InvalidInput`] error naming its
+/// 0-based index and the field, e.g. `record 3: field 'value' must be
+/// finite, not NaN`. Every record is checked before the first line is
+/// written, so on that error `w` has received nothing.
 pub fn write_trace(trace: &Trace, mut w: impl Write) -> io::Result<()> {
+    for (index, rec) in trace.records().iter().enumerate() {
+        check_writable(index, rec)?;
+    }
+    let mut line = String::new();
     for rec in trace.records() {
-        writeln!(w, "{}", record_to_json(rec).render())?;
+        line.clear();
+        json::write_record(&mut line, rec);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
+}
+
+fn check_writable(index: usize, rec: &MonitorRecord) -> io::Result<()> {
+    let fault = if !(rec.time.is_finite() && rec.time >= 0.0) {
+        format!(
+            "field 'time' must be finite and non-negative, not {}",
+            rec.time
+        )
+    } else if !rec.value.is_finite() {
+        format!("field 'value' must be finite, not {}", rec.value)
+    } else {
+        return Ok(());
+    };
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("record {index}: {fault}"),
+    ))
 }
 
 /// Reads a JSON-lines trace; records are re-sorted by time so partially
@@ -37,8 +63,13 @@ pub fn write_trace(trace: &Trace, mut w: impl Write) -> io::Result<()> {
 /// member the first counts. Lines may end in `\n` or `\r\n`. A malformed
 /// line is an [`io::ErrorKind::InvalidData`] error naming its 1-based
 /// line and byte column, e.g. `line 7, column 31: expected ',' or '}'`.
+///
+/// Records share their names: every record of one call whose `node` (or
+/// `metric`) has the same text holds the same [`Arc<str>`], so a trace
+/// costs one allocation per distinct name, not two per record.
 pub fn read_trace(mut r: impl BufRead) -> io::Result<Trace> {
     let mut records = Vec::new();
+    let mut names = HashSet::new();
     let mut buf = Vec::new();
     let mut line_no = 0usize;
     loop {
@@ -53,11 +84,22 @@ pub fn read_trace(mut r: impl BufRead) -> io::Result<Trace> {
         if line.trim().is_empty() {
             continue;
         }
-        let rec =
-            json::parse_record(line).map_err(|e| invalid_line(line_no, e.offset, &e.message))?;
+        let rec = json::parse_record(line, |name| intern(&mut names, name))
+            .map_err(|e| invalid_line(line_no, e.offset, &e.message))?;
         records.push(rec);
     }
     Ok(Trace::from_records(records))
+}
+
+/// The shared copy of `name`: allocated on its first occurrence, cloned
+/// from `names` after that. `names` is only looked up, never iterated.
+fn intern(names: &mut HashSet<Arc<str>>, name: Cow<'_, str>) -> Arc<str> {
+    if let Some(known) = names.get(&*name) {
+        return Arc::clone(known);
+    }
+    let name = Arc::<str>::from(name);
+    names.insert(Arc::clone(&name));
+    name
 }
 
 fn invalid_line(line: usize, offset: usize, message: &str) -> io::Error {
@@ -70,6 +112,7 @@ fn invalid_line(line: usize, offset: usize, message: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use lsds_stats::SimRng;
     use std::collections::BTreeMap;
 
@@ -81,13 +124,68 @@ mod tests {
         ])
     }
 
+    /// Finite numbers come back bit for bit, `-0.0` and escapes included.
     #[test]
     fn roundtrip() {
-        let t = sample();
+        let mut recs = sample().records().to_vec();
+        recs.extend([
+            MonitorRecord::new(-0.0, "T0", "m", -0.0),
+            MonitorRecord::new(0.1, "é\n\"\\", "\u{1}", 1.0 / 3.0),
+            MonitorRecord::new(f64::MIN_POSITIVE, "T1", "m", -f64::MAX),
+            MonitorRecord::new(f64::MAX, "T1", "m", 5e-324),
+        ]);
+        let t = Trace::from_records(recs);
         let mut buf = Vec::new();
         write_trace(&t, &mut buf).unwrap();
         let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(t, back);
+        assert!(same_bits(&t, &back), "{t:?} came back as {back:?}");
+    }
+
+    /// A number `read_trace` would reject is refused before any line is
+    /// written.
+    #[test]
+    fn unreadable_number_fails_at_write_with_its_index() {
+        for (time, value, message) in [
+            (3.5, f64::NAN, "field 'value' must be finite, not NaN"),
+            (3.5, f64::INFINITY, "field 'value' must be finite, not inf"),
+            (
+                3.5,
+                f64::NEG_INFINITY,
+                "field 'value' must be finite, not -inf",
+            ),
+            (
+                f64::INFINITY,
+                1.0,
+                "field 'time' must be finite and non-negative, not inf",
+            ),
+        ] {
+            let mut recs = sample().records().to_vec();
+            (recs[2].time, recs[2].value) = (time, value);
+            let mut buf = Vec::new();
+            let err = write_trace(&Trace::from_records(recs), &mut buf)
+                .expect_err("unreadable record written");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), format!("record 2: {message}"));
+            assert!(buf.is_empty(), "a line was written before the error");
+        }
+    }
+
+    #[test]
+    fn read_records_share_their_names() {
+        let doc = concat!(
+            r#"{"time":1,"node":"T1-0","metric":"job_arrival","value":1}"#,
+            "\n",
+            r#"{"time":2,"node":"T1-1","metric":"job_arrival","value":1}"#,
+            "\n",
+            r#"{"time":3,"node":"T1-\u0030","metric":"cpu_load","value":1}"#,
+            "\n"
+        );
+        let t = read_trace(doc.as_bytes()).unwrap();
+        let r = t.records();
+        assert!(Arc::ptr_eq(&r[0].node, &r[2].node), "escaped spelling");
+        assert!(!Arc::ptr_eq(&r[0].node, &r[1].node));
+        assert!(Arc::ptr_eq(&r[0].metric, &r[1].metric));
+        assert_eq!(&*r[2].metric, "cpu_load");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! need: a complete value model, a strict recursive-descent parser, and a
 //! writer whose `f64` formatting (Rust's shortest-roundtrip `Display`)
 //! survives a write→read cycle bit-for-bit for finite values. The same
-//! parser also reads trace records straight into [`MonitorRecord`]
-//! without building a tree (the JSON-lines reader in [`crate::io`]).
+//! parser also reads trace records straight into [`MonitorRecord`], and
+//! the same writer renders them, without building a tree (the JSON-lines
+//! reader and writer in [`crate::io`]).
 // engine hot path: a failure here is a fallible result, not a panic
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -14,6 +15,7 @@
 use crate::record::MonitorRecord;
 use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A parsed JSON value. Object keys keep their textual order.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,6 +208,22 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `rec` as one compact JSON object, rendered as the equivalent
+/// [`Json::Obj`] would be. The caller checks that `time` and `value` are
+/// finite: a non-finite number renders as `null`, which
+/// [`parse_record`] rejects.
+pub(crate) fn write_record(out: &mut String, rec: &MonitorRecord) {
+    out.push_str("{\"time\":");
+    write_f64(out, rec.time);
+    out.push_str(",\"node\":");
+    write_escaped(out, &rec.node);
+    out.push_str(",\"metric\":");
+    write_escaped(out, &rec.metric);
+    out.push_str(",\"value\":");
+    write_f64(out, rec.value);
+    out.push('}');
+}
+
 /// Parses one JSON-lines trace record without building a [`Json`] tree.
 ///
 /// Same grammar as [`Json::parse`], and each field is read as
@@ -214,8 +232,13 @@ fn write_escaped(out: &mut String, s: &str) {
 /// other member are validated and dropped. Field errors (missing,
 /// mistyped, or a `time` that [`MonitorRecord::new`] would reject) are
 /// reported only for a syntactically complete line, in the order `time`,
-/// `node`, `metric`, `value`. Offsets are bytes into `line`.
-pub(crate) fn parse_record(line: &str) -> Result<MonitorRecord, JsonError> {
+/// `node`, `metric`, `value`. Offsets are bytes into `line`. `node` and
+/// `metric` are read borrowed from `line` where they hold no escape and
+/// handed to `intern`, which turns them into the record's names.
+pub(crate) fn parse_record(
+    line: &str,
+    mut intern: impl FnMut(Cow<'_, str>) -> Arc<str>,
+) -> Result<MonitorRecord, JsonError> {
     let mut p = Parser::new(line);
     p.skip_ws();
     let open = p.pos;
@@ -229,8 +252,8 @@ pub(crate) fn parse_record(line: &str) -> Result<MonitorRecord, JsonError> {
     p.members(|p, key| {
         match &*key {
             "time" if time.is_absent() => time = p.member_value(starts_number, Parser::number)?,
-            "node" if node.is_absent() => node = p.member_value(quote, Parser::string)?,
-            "metric" if metric.is_absent() => metric = p.member_value(quote, Parser::string)?,
+            "node" if node.is_absent() => node = p.member_value(quote, Parser::str_token)?,
+            "metric" if metric.is_absent() => metric = p.member_value(quote, Parser::str_token)?,
             "value" if value.is_absent() => {
                 value = p.member_value(starts_number, Parser::number)?
             }
@@ -251,7 +274,12 @@ pub(crate) fn parse_record(line: &str) -> Result<MonitorRecord, JsonError> {
             message: "field 'time' must be finite and non-negative".to_string(),
         });
     }
-    Ok(MonitorRecord::new(time, node, metric, value))
+    Ok(MonitorRecord::new(
+        time,
+        intern(node),
+        intern(metric),
+        value,
+    ))
 }
 
 /// The first occurrence of one record member.

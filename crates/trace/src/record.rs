@@ -1,27 +1,35 @@
 //! MonALISA-style monitoring records.
 
 use lsds_core::{SimTime, TraceSource};
+use std::sync::Arc;
 
 /// One monitored observation: at `time`, `node` reported `metric = value`.
 ///
 /// This mirrors the flat (timestamp, farm/node, parameter, value) tuples
 /// the MonALISA monitoring system produces — the format the paper names as
-/// MONARC 2's monitored-data input (§3).
+/// MONARC 2's monitored-data input (§3). The names are shared: a trace
+/// read by [`crate::read_trace`] holds one allocation per distinct name,
+/// not one per record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorRecord {
     /// Observation timestamp (simulated seconds).
     pub time: f64,
     /// Reporting node/site name.
-    pub node: String,
+    pub node: Arc<str>,
     /// Metric name (e.g. `"job_arrival"`, `"cpu_load"`, `"transfer_mb"`).
-    pub metric: String,
+    pub metric: Arc<str>,
     /// Observed value.
     pub value: f64,
 }
 
 impl MonitorRecord {
     /// Creates a record.
-    pub fn new(time: f64, node: impl Into<String>, metric: impl Into<String>, value: f64) -> Self {
+    pub fn new(
+        time: f64,
+        node: impl Into<Arc<str>>,
+        metric: impl Into<Arc<str>>,
+        value: f64,
+    ) -> Self {
         assert!(time.is_finite() && time >= 0.0, "bad timestamp");
         MonitorRecord {
             time,
@@ -79,7 +87,7 @@ impl Trace {
 
     /// Records for one metric only.
     pub fn metric<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a MonitorRecord> + 'a {
-        self.records.iter().filter(move |r| r.metric == name)
+        self.records.iter().filter(move |r| *r.metric == *name)
     }
 
     /// Converts into a [`TraceSource`] for the trace-driven engine.
@@ -140,6 +148,6 @@ mod tests {
         use lsds_core::engine::TraceSource as _;
         let (t1, r1) = src.next_record().unwrap();
         assert_eq!(t1, SimTime::new(1.0));
-        assert_eq!(r1.node, "b");
+        assert_eq!(&*r1.node, "b");
     }
 }

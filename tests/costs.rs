@@ -1,5 +1,5 @@
-//! Deterministic cost contracts: allocation counts that wall time on a
-//! noisy host cannot resolve, pinned exactly after a warm-up.
+//! Deterministic cost contracts: allocation counts and bytes that wall
+//! time on a noisy host cannot resolve, pinned exactly after a warm-up.
 //!
 //! A counting global allocator lives in this test crate alone, so every
 //! product crate keeps `forbid(unsafe_code)`. Its counters are
@@ -8,44 +8,54 @@
 //! each other's allocations.
 
 use lsds::core::{BinaryHeapQueue, Ctx, EventDriven, Model, PooledQueue, Schedule, SimTime};
-use lsds::net::{gbps, FlowEvent, FlowNet, LinkFault, LinkId, NodeId, NodeKind, Topology};
+use lsds::grid::organization::{flat_grid, SiteSpec};
+use lsds::grid::scheduler::LeastLoaded;
+use lsds::grid::{Activity, GridConfig, GridModel, ReplicationPolicy};
+use lsds::net::{gbps, mbps, FlowEvent, FlowNet, LinkFault, LinkId, NodeId, NodeKind, Topology};
 use lsds::parallel::cmb::InitialEvents;
 use lsds::parallel::{run_sequential, LogicalProcess, LpCtx};
+use lsds::stats::{Dist, SimRng};
+use lsds::trace::read_trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write as _;
+use std::thread::LocalKey;
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those requested; a reallocation counts its new size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // `try_with`: the slot is gone while the thread's locals are torn down
+fn count(bytes: usize) {
+    // `try_with`: the slots are gone while the thread's locals are torn down
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// The system allocator, counting every `alloc`, `alloc_zeroed` and
-/// `realloc` on the calling thread.
+/// `realloc` on the calling thread, and the bytes each asks for.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the bookkeeping only touches a
-// thread-local `Cell` and never allocates.
+// upholds the `GlobalAlloc` contract; the bookkeeping only touches
+// thread-local `Cell`s and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's `layout` contract is passed on to `System`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,11 +69,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Runs `f` and returns its result with how far `counter` rose meanwhile.
+fn counted<R>(counter: &'static LocalKey<Cell<u64>>, f: impl FnOnce() -> R) -> (R, u64) {
+    let before = counter.with(Cell::get);
+    let r = f();
+    (r, counter.with(Cell::get) - before)
+}
+
 /// Runs `f` and returns its result with the allocations it made.
 fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let r = f();
-    (r, ALLOCATIONS.with(Cell::get) - before)
+    counted(&ALLOCATIONS, f)
+}
+
+/// Runs `f` and returns its result with the bytes it allocated.
+fn allocated_bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    counted(&BYTES, f)
 }
 
 /// A clock that drops what is scheduled on it: the contracts measure the
@@ -259,4 +279,71 @@ fn event_driven_pooled_heap_allocates_nothing_per_event() {
     let (_, n) = allocations(|| engine.run_until(SimTime::new(30.0)));
     assert!(engine.processed() - before > 10_000);
     assert_eq!(n, 0);
+}
+
+/// `n` JSON-lines trace records over 11 nodes and 50 metrics; each name
+/// first occurs within the first 50 records.
+fn trace_text(n: usize) -> String {
+    let mut text = String::new();
+    for i in 0..n {
+        let (node, metric) = (i % 11, i % 50);
+        writeln!(
+            text,
+            r#"{{"time":{i},"node":"T1-{node}","metric":"job_arrival/{metric}","value":1.5}}"#
+        )
+        .expect("writing to a String");
+    }
+    text
+}
+
+/// DESIGN §5: `read_trace` interns each `node` and `metric` name, so a
+/// record whose names were seen before allocates nothing of its own; ten
+/// times the records adds only the record vector's doubling steps.
+#[test]
+fn read_trace_allocations_do_not_grow_per_record() {
+    let read = |n: usize| {
+        let text = trace_text(n);
+        let (trace, allocs) = allocations(|| read_trace(text.as_bytes()).expect("valid trace"));
+        assert_eq!(trace.len(), n);
+        allocs
+    };
+    let (small, large) = (read(1_000), read(10_000));
+    assert!(
+        large <= small + 8,
+        "1 000 records: {small}, 10 000: {large}"
+    );
+}
+
+/// A compute-only grid of four sites run until all of its `jobs` jobs
+/// have finished.
+fn finished_grid(jobs: u64) -> EventDriven<GridModel> {
+    let seed = 11;
+    let mut sim = GridModel::build(GridConfig {
+        grid: flat_grid(vec![SiteSpec::default(); 4], mbps(800.0), 0.005),
+        policy: Box::new(LeastLoaded),
+        replication: ReplicationPolicy::None,
+        activities: vec![
+            Activity::compute(0, 2.0, Dist::exp_mean(3.0), SimRng::new(seed)).with_limit(jobs),
+        ],
+        production: None,
+        agent: None,
+        eligible: None,
+        initial_files: vec![],
+        seed,
+    });
+    sim.run_until(SimTime::new(1.0e7));
+    assert_eq!(sim.model().records().len() as u64, jobs);
+    sim
+}
+
+/// DESIGN §5: a `GridReport` shares the model's job records instead of
+/// copying them, so what `report()` allocates does not depend on how many
+/// jobs have finished.
+#[test]
+fn grid_report_bytes_do_not_grow_with_finished_jobs() {
+    let (few, many) = (finished_grid(50), finished_grid(2_000));
+    let (small, few_bytes) = allocated_bytes(|| few.model().report());
+    let (large, many_bytes) = allocated_bytes(|| many.model().report());
+    assert_eq!((small.records.len(), large.records.len()), (50, 2_000));
+    assert_eq!(few_bytes, many_bytes);
 }
