@@ -54,9 +54,7 @@ pub mod worksteal;
 
 pub use cmb::{run_cmb, run_cmb_telemetry, run_cmb_traced, CmbReport, CmbStats, InitialEvents};
 pub use lp::{LogicalProcess, LpCtx, LpId};
-pub use partition::{
-    block_partition, owned_by, owners, profiled, profiled_from_trace, round_robin_partition,
-};
+pub use partition::{block_partition, owners, profiled, round_robin_partition};
 pub use sequential::{run_sequential, run_sequential_telemetry, SequentialReport};
 pub use timestep::{run_timestep, run_timestep_telemetry, run_timestep_traced, TimestepReport};
 pub use timewarp::{

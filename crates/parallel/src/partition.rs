@@ -8,7 +8,6 @@
 //! the engines are deterministic.
 
 use crate::lp::LpId;
-use lsds_obs::{CriticalPath, SpanTrace};
 
 /// Assigns `n_entities` to `n_lps` in contiguous blocks.
 ///
@@ -49,23 +48,12 @@ pub fn owners(assignment: &[LpId], n_lps: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Entities owned by `lp` under a given assignment.
-///
-/// Thin wrapper over [`owners`] kept for callers that need a single LP;
-/// anything iterating over *all* LPs should call [`owners`] once instead
-/// of paying a scan per LP.
-pub fn owned_by(assignment: &[LpId], lp: LpId) -> Vec<usize> {
-    let n_lps = assignment.iter().map(|&a| a + 1).max().unwrap_or(0);
-    let mut inverse = owners(assignment, n_lps.max(lp + 1));
-    std::mem::take(&mut inverse[lp])
-}
-
 /// Assigns entities to LPs by **estimated work**, heaviest first onto the
 /// least-loaded LP (longest-processing-time greedy; ties by entity id,
 /// then by LP id — fully deterministic).
 ///
 /// `costs[i]` is entity `i`'s estimated cost in arbitrary units (e.g.
-/// measured handler wall-time from [`SpanTrace::track_costs`]). LPT is a
+/// measured handler wall-time per entity from a profiling run). LPT is a
 /// 4/3-approximation of the optimal makespan, which is enough to undo the
 /// hot-spot imbalance that defeats count-based partitioning: a block
 /// partition puts one hot entity and its cold neighbors on the same LP,
@@ -96,43 +84,9 @@ pub fn profiled(costs: &[f64], n_lps: usize) -> Vec<LpId> {
     out
 }
 
-/// How much [`profiled_from_trace`] inflates the cost of entities on the
-/// critical path: the chain that bounds the makespan must not queue on
-/// one LP, so its entities are spread before equally-expensive bystanders.
-const CRITICAL_TRACK_BOOST: f64 = 2.0;
-
-/// Profile-guided assignment from a recorded run: per-entity measured
-/// handler wall-time (via [`SpanTrace::track_costs`], tracks = entity
-/// ids), optionally boosted along the critical path, fed to [`profiled`].
-///
-/// The intended workflow is a cheap profiling pass with one LP per
-/// entity (`run_cmb_traced` / `run_worksteal`), then a production run
-/// whose entity→LP mapping comes from this function. The tests
-/// `profiled_from_trace_spreads_measured_load` and
-/// `profiled_never_loses_to_count_based_partitions` hold the imbalance
-/// this removes. Entities that never ran (zero spans) get cost 0 and fill
-/// in last.
-pub fn profiled_from_trace(
-    trace: &SpanTrace,
-    critical: Option<&CriticalPath>,
-    n_entities: usize,
-    n_lps: usize,
-) -> Vec<LpId> {
-    let mut costs = trace.track_costs(n_entities);
-    if let Some(cp) = critical {
-        for track in cp.tracks() {
-            if let Some(c) = costs.get_mut(track as usize) {
-                *c *= CRITICAL_TRACK_BOOST;
-            }
-        }
-    }
-    profiled(&costs, n_lps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsds_obs::{Span, SpanKind, NO_PARENT};
 
     #[test]
     fn block_partition_sizes_balanced() {
@@ -156,30 +110,15 @@ mod tests {
     }
 
     #[test]
-    fn owned_by_inverts_assignment() {
-        let p = round_robin_partition(9, 3);
-        assert_eq!(owned_by(&p, 1), vec![1, 4, 7]);
-        let total: usize = (0..3).map(|lp| owned_by(&p, lp).len()).sum();
-        assert_eq!(total, 9);
-    }
-
-    #[test]
-    fn owners_matches_owned_by_in_one_pass() {
-        let p = block_partition(11, 4);
-        let inv = owners(&p, 4);
-        assert_eq!(inv.len(), 4);
-        for (lp, owned) in inv.iter().enumerate() {
-            assert_eq!(*owned, owned_by(&p, lp));
-        }
+    fn owners_inverts_assignment_in_one_pass() {
+        let inv = owners(&block_partition(11, 4), 4);
+        assert_eq!(
+            inv,
+            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9, 10]]
+        );
         // trailing empty LPs are represented, not dropped
         let inv = owners(&[0, 0], 3);
         assert_eq!(inv, vec![vec![0, 1], vec![], vec![]]);
-    }
-
-    #[test]
-    fn owned_by_of_unused_lp_is_empty() {
-        assert!(owned_by(&[0, 0, 0], 2).is_empty());
-        assert!(owned_by(&[], 5).is_empty());
     }
 
     #[test]
@@ -260,61 +199,5 @@ mod tests {
     #[should_panic(expected = "invalid cost")]
     fn profiled_rejects_nan_cost() {
         profiled(&[1.0, f64::NAN], 2);
-    }
-
-    fn span_on(id: u64, track: u32, wall_ns: u64) -> Span {
-        Span {
-            id,
-            parent: if id == 0 { NO_PARENT } else { id - 1 },
-            track,
-            vt: id as f64,
-            wall_ns,
-            kind: SpanKind::DEFAULT,
-        }
-    }
-
-    #[test]
-    fn profiled_from_trace_spreads_measured_load() {
-        // entity 1 did all the work; entities 0 and 2 were idle
-        let trace = SpanTrace {
-            spans: vec![span_on(0, 1, 500), span_on(1, 1, 500), span_on(2, 0, 10)],
-            dropped: 0,
-        };
-        let p = profiled_from_trace(&trace, None, 3, 2);
-        assert_eq!(p.len(), 3);
-        // the hot entity gets an LP to itself
-        assert_eq!(owners(&p, 2)[p[1]], vec![1]);
-    }
-
-    #[test]
-    fn critical_path_boost_separates_chain_from_bystander() {
-        // three independent roots; the latest-delivered span (track 0)
-        // is the whole critical path. Tracks 0 and 1 cost the same.
-        let root = |id: u64, track: u32, vt: f64, wall_ns: u64| Span {
-            id,
-            parent: NO_PARENT,
-            track,
-            vt,
-            wall_ns,
-            kind: SpanKind::DEFAULT,
-        };
-        let trace = SpanTrace {
-            spans: vec![
-                root(0, 0, 1.0, 100),
-                root(1, 1, 0.5, 100),
-                root(2, 2, 0.4, 120),
-            ],
-            dropped: 0,
-        };
-        // Unboosted, the critical entity ties with the bystander and
-        // ends up sharing an LP with it behind the heavier track 2.
-        let plain = profiled_from_trace(&trace, None, 3, 2);
-        assert_eq!(plain[0], plain[1]);
-        // Boosted (100 → 200), it is placed first and gets an LP alone.
-        let cp = trace.critical_path();
-        assert_eq!(cp.tracks(), vec![0]);
-        let boosted = profiled_from_trace(&trace, Some(&cp), 3, 2);
-        assert_ne!(boosted[0], boosted[1]);
-        assert_eq!(owners(&boosted, 2)[boosted[0]], vec![0]);
     }
 }

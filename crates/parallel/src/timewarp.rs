@@ -40,13 +40,13 @@ use std::sync::mpsc::{Receiver, Sender};
 /// State snapshotting hook for optimistic execution.
 ///
 /// Time Warp cannot un-run a handler, so the engine saves a copy of the
-/// LP's state (every [`TwConfig::checkpoint_every`] events) and restores
-/// the most recent snapshot before the straggler on rollback. `Saved` is
+/// LP's state before every event and restores the snapshot taken before
+/// the earliest undone event on rollback. `Saved` is
 /// typically the LP struct's own fields minus anything the engine already
 /// reconstructs (the pending event list, the sequence counter).
 pub trait SaveState: LogicalProcess {
-    /// Snapshot type; stored in a slab between checkpoint and fossil
-    /// collection.
+    /// Snapshot type; stored in a slab from its event's execution until
+    /// fossil collection.
     type Saved: Send;
 
     /// Captures the LP's current state.
@@ -59,11 +59,6 @@ pub trait SaveState: LogicalProcess {
 /// Tuning knobs for the optimistic engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwConfig {
-    /// Save a state snapshot every this many processed events (≥ 1).
-    /// `1` (the default) checkpoints before every event, making every
-    /// rollback exact; larger values trade copy cost for re-execution
-    /// (coast-forward) cost.
-    pub checkpoint_every: u32,
     /// Bounded optimism (Sokol's Moving Time Window): an LP only
     /// executes events with `at ≤ GVT + window`, in simulated seconds.
     /// `INFINITY` (the default) is pure Time Warp. A finite window caps
@@ -77,7 +72,6 @@ pub struct TwConfig {
 impl Default for TwConfig {
     fn default() -> Self {
         TwConfig {
-            checkpoint_every: 1,
             window: f64::INFINITY,
         }
     }
@@ -102,8 +96,6 @@ pub struct TwStats {
     pub annihilated: u64,
     /// Real inter-LP messages sent (including later-cancelled ones).
     pub remote_sent: u64,
-    /// State snapshots taken.
-    pub states_saved: u64,
     /// GVT token visits at this LP.
     pub token_visits: u64,
     /// GVT evaluation rounds completed (non-zero only at LP 0).
@@ -174,10 +166,6 @@ impl<L> TwReport<L> {
             self.stats.iter().map(|s| s.remote_sent).sum(),
         );
         reg.inc(
-            "tw.states_saved",
-            self.stats.iter().map(|s| s.states_saved).sum(),
-        );
-        reg.inc(
             "tw.gvt_rounds",
             self.stats.iter().map(|s| s.gvt_rounds).sum(),
         );
@@ -224,9 +212,6 @@ enum TwPacket<M> {
     Stop,
 }
 
-/// Sentinel: processed record carries no state snapshot.
-const NO_STATE: u32 = u32::MAX;
-
 /// How many events an LP speculates through between input-queue drains
 /// and token forwards.
 const BATCH: usize = 32;
@@ -247,7 +232,7 @@ struct Done {
     parent: u64,
     /// Payload slot (still parked — rollback re-delivers it).
     slot: u32,
-    /// Snapshot of LP state *before* this event ran, or [`NO_STATE`].
+    /// Snapshot of LP state *before* this event ran.
     state_slot: u32,
     /// Sequence counter before this event ran; restored on rollback so
     /// re-execution regenerates identical tie keys.
@@ -300,8 +285,6 @@ struct Engine<'a, L: SaveState, T: Tracer, Y: Telemetry> {
     sends: VecDeque<SendRec>,
     locals: VecDeque<LocalRec>,
     clock: SimTime,
-    /// Events executed since the last snapshot.
-    gap: u32,
     gvt: f64,
     token: Option<Token>,
     stop: bool,
@@ -399,23 +382,13 @@ where
     }
 
     /// Undoes every speculative execution with time ≥ `t`, restoring the
-    /// nearest snapshot at or before the cut and cancelling optimistic
+    /// snapshot taken before the earliest of them and cancelling optimistic
     /// sends. Re-execution regenerates identical tie keys because the
     /// sequence counter is restored along with the state.
     fn rollback_to(&mut self, t: SimTime) {
         let len = self.processed.len();
-        let mut cut = self.processed.partition_point(|r| r.at < t);
+        let cut = self.processed.partition_point(|r| r.at < t);
         debug_assert!(cut < len, "rollback_to called with nothing to undo");
-        // Coast back to a record that carries a snapshot (index 0 always
-        // does — fossil collection never removes the last floor state).
-        while self
-            .processed
-            .get(cut)
-            .is_some_and(|r| r.state_slot == NO_STATE)
-        {
-            debug_assert!(cut > 0, "no snapshot at or before rollback cut");
-            cut -= 1;
-        }
         self.stats.rollbacks += 1;
         if Y::ENABLED {
             self.tel.inc("tw.rollbacks", self.me as u32, 1);
@@ -469,31 +442,16 @@ where
                 },
             );
             self.stats.rolled_back += 1;
+            let state = self.states.claim(rec.state_slot);
+            debug_assert!(state.is_some(), "snapshot slot vacated");
             if i == cut {
-                let Some(state) = self.states.claim(rec.state_slot) else {
-                    debug_assert!(false, "snapshot slot vacated");
-                    return;
-                };
-                self.lp.restore(state);
+                if let Some(state) = state {
+                    self.lp.restore(state);
+                }
                 self.seq = rec.seq_before;
-            } else if rec.state_slot != NO_STATE {
-                self.states.claim(rec.state_slot);
             }
         }
         self.clock = self.processed.back().map_or(SimTime::ZERO, |r| r.at);
-        self.gap = self.checkpoint_gap();
-    }
-
-    /// Events executed since the most recent retained snapshot.
-    fn checkpoint_gap(&self) -> u32 {
-        let len = self.processed.len();
-        for (back, rec) in self.processed.iter().rev().enumerate() {
-            if rec.state_slot != NO_STATE {
-                return (len - (len - 1 - back)) as u32;
-            }
-        }
-        debug_assert!(len == 0, "non-empty processed list without a snapshot");
-        0
     }
 
     /// Executes the earliest pending event within the horizon, if any.
@@ -519,14 +477,7 @@ where
             return false;
         };
         self.pending.pop_first();
-        let state_slot = if self.processed.is_empty() || self.gap >= self.cfg.checkpoint_every {
-            self.gap = 0;
-            self.stats.states_saved += 1;
-            self.states.park(self.lp.save())
-        } else {
-            NO_STATE
-        };
-        self.gap += 1;
+        let state_slot = self.states.park(self.lp.save());
         let seq_before = self.seq;
         let kind = if T::ENABLED {
             self.lp.trace_kind(&msg)
@@ -659,22 +610,12 @@ where
             .ok();
     }
 
-    /// Commits every execution strictly below GVT, keeping the latest
-    /// snapshot at or before the first record that a GVT-time straggler
-    /// could still force us to undo.
+    /// Commits every execution strictly below GVT: a straggler at or
+    /// after GVT undoes only later records, each carrying its own snapshot.
     fn fossil_collect(&mut self) {
-        let horizon = self
+        let floor = self
             .processed
             .partition_point(|r| r.at.seconds() < self.gvt);
-        let mut floor = horizon.min(self.processed.len().saturating_sub(1));
-        while self
-            .processed
-            .get(floor)
-            .is_some_and(|r| r.state_slot == NO_STATE)
-        {
-            debug_assert!(floor > 0, "no snapshot below fossil floor");
-            floor -= 1;
-        }
         if Y::ENABLED && floor > 0 {
             self.tel.inc("tw.fossil_batches", self.me as u32, 1);
             self.tel
@@ -693,9 +634,7 @@ where
             return;
         };
         self.pool.claim(rec.slot);
-        if rec.state_slot != NO_STATE {
-            self.states.claim(rec.state_slot);
-        }
+        self.states.claim(rec.state_slot);
         for _ in 0..rec.n_sends {
             self.sends.pop_front();
         }
@@ -854,7 +793,6 @@ where
     T: Tracer + Send,
     Y: Telemetry + Send,
 {
-    assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be ≥ 1");
     assert!(cfg.window >= 0.0, "window must be non-negative");
     validate_run(&lps, edges, None);
     let (lps, stats, tracers, tels) =
@@ -875,7 +813,6 @@ where
                 sends: VecDeque::new(),
                 locals: VecDeque::new(),
                 clock: SimTime::ZERO,
-                gap: 0,
                 gvt: 0.0,
                 // Seed the GVT ring at LP 0; the seed visit (round 0)
                 // only folds and forwards, round 1 starts circulating.
@@ -1003,31 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_checkpoints_stay_bit_identical() {
-        let every = run_timewarp(ring(4, 1.0), &ring_edges(4), SimTime::new(100.0));
-        for k in [2u32, 5, 16] {
-            let coarse = run_timewarp_cfg(
-                ring(4, 1.0),
-                &ring_edges(4),
-                SimTime::new(100.0),
-                TwConfig {
-                    checkpoint_every: k,
-                    ..TwConfig::default()
-                },
-            );
-            assert_eq!(every.total_events(), coarse.total_events(), "k={k}");
-            for i in 0..4 {
-                assert_eq!(every.lps[i].hops_seen, coarse.lps[i].hops_seen, "k={k}");
-                assert_eq!(
-                    every.lps[i].last_time.to_bits(),
-                    coarse.lps[i].last_time.to_bits(),
-                    "k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn bounded_window_stays_bit_identical() {
         let pure = run_timewarp(ring(4, 1.0), &ring_edges(4), SimTime::new(100.0));
         for w in [0.0, 0.5, 2.0, 10.0] {
@@ -1035,10 +947,7 @@ mod tests {
                 ring(4, 1.0),
                 &ring_edges(4),
                 SimTime::new(100.0),
-                TwConfig {
-                    window: w,
-                    ..TwConfig::default()
-                },
+                TwConfig { window: w },
             );
             assert_eq!(pure.total_events(), bounded.total_events(), "w={w}");
             for i in 0..4 {

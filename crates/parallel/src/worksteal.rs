@@ -26,17 +26,14 @@
 //! Determinism is inherited wholesale: events carry the same `(time,
 //! source LP, sequence)` tie keys, each LP delivers in ascending
 //! `(time, tie)` order gated by its safe time, and neither worker count,
-//! steal order, batch size, nor migration can reorder a delivery — so a
-//! run reproduces [`crate::run_sequential`] bit-for-bit (property-tested
-//! under adversarial imbalance in `tests/worksteal_properties.rs`).
+//! steal order nor batch size can reorder a delivery — so a run
+//! reproduces [`crate::run_sequential`] bit-for-bit (property-tested under
+//! adversarial imbalance in `tests/worksteal_properties.rs`).
 //!
-//! **Adaptive rebalancing** ([`WsConfig::migration_epoch`]): every epoch
-//! (a global budget of processed events) the scheduler re-partitions LP
-//! *home workers* by measured per-LP host cost, longest-processing-time
-//! first — the Erlang-PDES lever of migrating simulation load between
-//! schedulers. Migration happens only at a safe point: an LP is re-homed
-//! strictly between activations, when it sits in no deque and no worker
-//! holds its lock, so placement changes scheduling and nothing else.
+//! **Placement** is round-robin and fixed: LP `i` is always queued on
+//! worker `i mod workers`. Load balance comes from stealing alone — an
+//! idle worker takes runnable LPs from its peers' deques, so a hot LP
+//! never holds back work that another worker could run.
 //!
 //! ## Why per-LP activations are serialized
 //!
@@ -71,12 +68,6 @@ pub struct WsConfig {
     /// re-queued at the back of its deque (≥ 1). Small batches improve
     /// fairness under skew; large batches amortize locking.
     pub batch: u32,
-    /// Adaptive rebalancing period in globally processed events: at each
-    /// epoch boundary the scheduler re-homes LPs onto workers by
-    /// measured per-LP cost (longest-processing-time first). `None`
-    /// disables migration. Placement only — results are bit-identical
-    /// with migration on or off.
-    pub migration_epoch: Option<u64>,
 }
 
 impl Default for WsConfig {
@@ -84,7 +75,6 @@ impl Default for WsConfig {
         WsConfig {
             workers: 0,
             batch: 64,
-            migration_epoch: None,
         }
     }
 }
@@ -113,10 +103,6 @@ pub struct WsSchedStats {
     /// Channel-clock advances written into neighbor state — the
     /// shared-memory analog of CMB null messages.
     pub bound_updates: u64,
-    /// Rebalancing epochs that ran.
-    pub epochs: u64,
-    /// LP home-worker changes applied at epoch boundaries.
-    pub migrations: u64,
 }
 
 /// Result of a work-stealing run.
@@ -128,17 +114,6 @@ pub struct WsReport<L> {
     pub stats: Vec<WsStats>,
     /// Scheduler-wide counters.
     pub sched: WsSchedStats,
-    /// Final home worker of each LP, in id order. With
-    /// [`WsConfig::migration_epoch`] set this is the placement the epoch
-    /// rebalancer converged to from *observed* per-LP cost — the online
-    /// analog of a [`crate::partition::profiled`] assignment, available
-    /// with no prior profiling run.
-    pub homes: Vec<usize>,
-    /// Cumulative host nanoseconds of handler work per LP, in id order.
-    /// Unlike the epoch-local accumulator that drives rebalancing, this
-    /// never resets, so it weights [`WsReport::observed_imbalance`] over
-    /// the whole run.
-    pub cost_ns: Vec<u64>,
 }
 
 impl<L> WsReport<L> {
@@ -150,26 +125,6 @@ impl<L> WsReport<L> {
     /// Total real inter-LP messages.
     pub fn total_remote(&self) -> u64 {
         self.stats.iter().map(|s| s.remote_sent).sum()
-    }
-
-    /// Weighted load imbalance of the final placement: max worker load
-    /// over mean worker load, where an LP's load is its observed
-    /// cumulative host cost. `1.0` is perfect balance; returns `1.0`
-    /// for degenerate runs (no workers or no measured cost).
-    pub fn observed_imbalance(&self) -> f64 {
-        if self.sched.workers == 0 {
-            return 1.0;
-        }
-        let mut load = vec![0u64; self.sched.workers];
-        for (lp, &home) in self.homes.iter().enumerate() {
-            load[home % self.sched.workers] += self.cost_ns[lp];
-        }
-        let total: u64 = load.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let max = load.iter().copied().max().unwrap_or(0) as f64;
-        max / (total as f64 / self.sched.workers as f64)
     }
 
     /// Exports the run's scheduling counters into a metrics registry:
@@ -184,20 +139,11 @@ impl<L> WsReport<L> {
         reg.inc("ws.steals", self.sched.steals);
         reg.inc("ws.parks", self.sched.parks);
         reg.inc("ws.bound_updates", self.sched.bound_updates);
-        reg.inc("ws.epochs", self.sched.epochs);
-        reg.inc("ws.migrations", self.sched.migrations);
         reg.set_gauge("ws.lps", self.lps.len() as f64);
         reg.set_gauge("ws.workers", self.sched.workers as f64);
         for (i, st) in self.stats.iter().enumerate() {
             reg.inc(&format!("ws.lp.{i}.events"), st.events);
         }
-        for (i, &c) in self.cost_ns.iter().enumerate() {
-            reg.inc(&format!("ws.lp.{i}.cost_ns"), c);
-        }
-        for (i, &h) in self.homes.iter().enumerate() {
-            reg.set_gauge(&format!("ws.lp.{i}.home"), h as f64);
-        }
-        reg.set_gauge("ws.observed_imbalance", self.observed_imbalance());
     }
 }
 
@@ -213,23 +159,14 @@ struct LpState<L: LogicalProcess> {
     stats: WsStats,
 }
 
-/// One LP's scheduling shell. The flags live outside the mutex so
-/// senders and the rebalancer never block on a running LP.
+/// One LP's scheduling shell. The flag lives outside the mutex so
+/// senders never block on a running LP.
 struct LpSlot<L: LogicalProcess> {
     state: Mutex<LpState<L>>,
     /// Set while the LP sits in a deque *or* is being activated; cleared
     /// only at the end of an activation (see module docs). Guarantees at
     /// most one worker activates the LP at a time.
     queued: AtomicBool,
-    /// Home worker; activations are pushed here, thieves may run them
-    /// elsewhere. Rewritten by the epoch rebalancer.
-    home: AtomicUsize,
-    /// Cumulative host nanoseconds of handler work — the live cost
-    /// telemetry. Never reset: the rebalancer partitions on the whole
-    /// observed history (converging to what a profiled partition would
-    /// build from the same costs) instead of one epoch's noisy sample,
-    /// and teardown reports it as [`WsReport::cost_ns`].
-    cost_total_ns: AtomicU64,
 }
 
 /// A packet staged for `LpId`: carried from the producing activation
@@ -250,13 +187,9 @@ struct Scheduler<L: LogicalProcess> {
     /// down instead of parking forever on work the dead worker owned; the
     /// panic itself propagates through the thread scope.
     failed: AtomicBool,
-    events_total: AtomicU64,
-    epoch_idx: AtomicU64,
     steals: AtomicU64,
     parks: AtomicU64,
     bound_updates: AtomicU64,
-    epochs: AtomicU64,
-    migrations: AtomicU64,
     t_end: SimTime,
     cfg: WsConfig,
 }
@@ -266,8 +199,9 @@ impl<L: LogicalProcess> Scheduler<L> {
         self.deques.len()
     }
 
-    /// Queues `lp` on its home deque unless it is already queued or
-    /// mid-activation (the activation's closing re-check covers it).
+    /// Queues `lp` on its home deque (`lp mod workers`) unless it is
+    /// already queued or mid-activation (the activation's closing re-check
+    /// covers it).
     fn enqueue(&self, lp: LpId) {
         if self.slots[lp]
             .queued
@@ -276,8 +210,7 @@ impl<L: LogicalProcess> Scheduler<L> {
         {
             return;
         }
-        let w = self.slots[lp].home.load(SeqCst) % self.workers();
-        if let Ok(mut dq) = self.deques[w].lock() {
+        if let Ok(mut dq) = self.deques[lp % self.workers()].lock() {
             dq.push_back(lp);
         }
         self.pending.fetch_add(1, SeqCst);
@@ -311,48 +244,6 @@ impl<L: LogicalProcess> Scheduler<L> {
             }
         }
         None
-    }
-
-    /// Epoch boundary: re-home LPs by measured cost, heaviest first onto
-    /// the least-loaded worker (longest-processing-time greedy, ties by
-    /// id). Runs on whichever worker crossed the epoch; touches only the
-    /// `home` atomics, so a re-homed LP lands on its new deque at its
-    /// *next* enqueue — the safe point, since between activations it is
-    /// running nowhere and queued nowhere. Returns the number of LPs
-    /// re-homed by this epoch.
-    fn rebalance(&self) -> u64 {
-        self.epochs.fetch_add(1, SeqCst);
-        let mut moved = 0u64;
-        for (lp, &best) in self.lpt_homes().iter().enumerate() {
-            if self.slots[lp].home.swap(best, SeqCst) != best {
-                self.migrations.fetch_add(1, SeqCst);
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// The LPT placement over the cumulative observed costs: heaviest LP
-    /// first, each to the least-loaded worker (ties by id) — the same
-    /// greedy `partition::profiled` applies to an offline profile.
-    fn lpt_homes(&self) -> Vec<usize> {
-        let mut by_cost: Vec<(u64, LpId)> = (0..self.slots.len())
-            .map(|i| (self.slots[i].cost_total_ns.load(SeqCst), i))
-            .collect();
-        by_cost.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut load = vec![0u64; self.workers()];
-        let mut homes = vec![0usize; self.slots.len()];
-        for (cost, lp) in by_cost {
-            let mut best = 0usize;
-            for w in 1..load.len() {
-                if load[w] < load[best] {
-                    best = w;
-                }
-            }
-            load[best] += cost.max(1);
-            homes[lp] = best;
-        }
-        homes
     }
 
     /// One activation of `lp`: a bounded batch of safe events under the
@@ -389,11 +280,6 @@ impl<L: LogicalProcess> Scheduler<L> {
             if Y::ENABLED {
                 tel.inc("ws.activations", me as u32, 1);
             }
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "scheduler load measurement for epoch rebalancing; feeds worker placement only, never simulated time or results"
-            )]
-            let wall_start = std::time::Instant::now();
             while did < self.cfg.batch as u64 {
                 let Some(at) = st.clocks.next_safe(st.core.next_time(), self.t_end) else {
                     break;
@@ -414,8 +300,6 @@ impl<L: LogicalProcess> Scheduler<L> {
                     tel.sample("ws.deque_len", me as u32, at.seconds(), depth as f64);
                 }
             }
-            let spent = u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            slot.cost_total_ns.fetch_add(spent, SeqCst);
             // New promises go out BEHIND the staged events: a bound
             // computed from the drained queue may exceed a staged event's
             // timestamp, so the event must land first.
@@ -443,24 +327,6 @@ impl<L: LogicalProcess> Scheduler<L> {
             // Last LP finished: release every parked worker.
             let _g = self.park_lock.lock();
             self.park_cv.notify_all();
-        }
-        if did > 0 {
-            if let Some(epoch) = self.cfg.migration_epoch {
-                let total = self.events_total.fetch_add(did, SeqCst) + did;
-                let idx = total / epoch;
-                let cur = self.epoch_idx.load(SeqCst);
-                if idx > cur
-                    && self
-                        .epoch_idx
-                        .compare_exchange(cur, idx, SeqCst, SeqCst)
-                        .is_ok()
-                {
-                    let moved = self.rebalance();
-                    if Y::ENABLED && moved > 0 {
-                        tel.inc("ws.migrations", me as u32, moved);
-                    }
-                }
-            }
         }
         // End of activation: allow re-queueing, then re-check our own
         // state. Senders that delivered to us mid-activation failed the
@@ -545,8 +411,7 @@ impl<L: LogicalProcess> Scheduler<L> {
 }
 
 /// Runs logical processes to `t_end` on a work-stealing worker pool with
-/// the default [`WsConfig`] (workers = available parallelism, batch 64,
-/// no migration).
+/// the default [`WsConfig`] (workers = available parallelism, batch 64).
 ///
 /// `edges` lists the directed channels `(src, dst)` exactly as for
 /// [`crate::run_cmb`]; the synchronization contract is the same (every
@@ -573,7 +438,7 @@ where
 }
 
 /// Like [`run_worksteal_cfg`], with a per-worker [`Telemetry`] sink
-/// capturing scheduler internals — steals, parks, migrations, deque
+/// capturing scheduler internals — steals, parks, activations, deque
 /// depths — as counter and sample series keyed by worker track. The
 /// merged [`TelemetryReport`] aggregates every worker's sink; results
 /// are bit-identical to the plain run (telemetry observes placement and
@@ -609,9 +474,6 @@ where
     Y: Telemetry + Send,
 {
     assert!(cfg.batch >= 1, "batch must be at least 1");
-    if let Some(epoch) = cfg.migration_epoch {
-        assert!(epoch >= 1, "migration epoch must be at least 1");
-    }
     validate_run(&lps, edges, Some(0.0));
     let n = lps.len();
     let workers = if cfg.workers == 0 {
@@ -648,8 +510,6 @@ where
                     stats,
                 }),
                 queued: AtomicBool::new(true),
-                home: AtomicUsize::new(me % workers),
-                cost_total_ns: AtomicU64::new(0),
             }
         })
         .collect();
@@ -663,13 +523,9 @@ where
         pending: AtomicUsize::new(n),
         live: AtomicUsize::new(n),
         failed: AtomicBool::new(false),
-        events_total: AtomicU64::new(0),
-        epoch_idx: AtomicU64::new(0),
         steals: AtomicU64::new(0),
         parks: AtomicU64::new(0),
         bound_updates: AtomicU64::new(0),
-        epochs: AtomicU64::new(0),
-        migrations: AtomicU64::new(0),
         t_end,
         cfg,
     };
@@ -692,19 +548,7 @@ where
 
     let mut lps_out = Vec::with_capacity(n);
     let mut stats = Vec::with_capacity(n);
-    let mut cost_ns = Vec::with_capacity(n);
-    // Settle the learned placement on the complete cost record: the epoch
-    // rebalancer last ran at an epoch boundary, but cost kept accruing
-    // until the horizon, so the converged placement — what one more epoch
-    // would compute — is the LPT greedy over the *final* cumulative
-    // costs. Pure bookkeeping on a finished scheduler; no LP runs again.
-    let homes = if sched.cfg.migration_epoch.is_some() && sched.epochs.load(SeqCst) > 0 {
-        sched.lpt_homes()
-    } else {
-        sched.slots.iter().map(|s| s.home.load(SeqCst)).collect()
-    };
     for slot in sched.slots {
-        cost_ns.push(slot.cost_total_ns.load(SeqCst));
         #[expect(
             clippy::expect_used,
             reason = "post-run teardown: a panicked worker has already propagated through the thread scope"
@@ -724,11 +568,7 @@ where
                 steals: sched.steals.load(SeqCst),
                 parks: sched.parks.load(SeqCst),
                 bound_updates: sched.bound_updates.load(SeqCst),
-                epochs: sched.epochs.load(SeqCst),
-                migrations: sched.migrations.load(SeqCst),
             },
-            homes,
-            cost_ns,
         },
         tels,
     )
@@ -805,11 +645,7 @@ mod tests {
                 lps,
                 &edges,
                 SimTime::new(50.0),
-                WsConfig {
-                    workers: 2,
-                    batch,
-                    migration_epoch: None,
-                },
+                WsConfig { workers: 2, batch },
             );
             runs.push(
                 ws.lps
@@ -820,39 +656,6 @@ mod tests {
         }
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
-    }
-
-    #[test]
-    fn migration_epoch_preserves_results_and_counts_epochs() {
-        let (lps, edges) = ring(6);
-        let plain = run_worksteal_cfg(
-            lps,
-            &edges,
-            SimTime::new(200.0),
-            WsConfig {
-                workers: 2,
-                batch: 4,
-                migration_epoch: None,
-            },
-        );
-        let (lps, edges) = ring(6);
-        let migr = run_worksteal_cfg(
-            lps,
-            &edges,
-            SimTime::new(200.0),
-            WsConfig {
-                workers: 2,
-                batch: 4,
-                migration_epoch: Some(10),
-            },
-        );
-        assert_eq!(plain.total_events(), migr.total_events());
-        for (a, b) in plain.lps.iter().zip(migr.lps.iter()) {
-            assert_eq!(a.hops_seen, b.hops_seen);
-            assert_eq!(a.last_time.to_bits(), b.last_time.to_bits());
-        }
-        assert!(migr.sched.epochs > 0, "epoch rebalancer never ran");
-        assert_eq!(plain.sched.epochs, 0);
     }
 
     #[test]
@@ -889,12 +692,9 @@ mod tests {
         ws.export_metrics(&mut reg);
         assert!(ws.total_events() > 0);
         assert_eq!(reg.counter("ws.lp.0.events"), ws.stats[0].events);
-        assert_eq!(reg.counter("ws.lp.1.cost_ns"), ws.cost_ns[1]);
-        assert_eq!(reg.gauge("ws.lp.2.home"), Some(ws.homes[2] as f64));
-        assert_eq!(
-            reg.gauge("ws.observed_imbalance"),
-            Some(ws.observed_imbalance())
-        );
+        assert_eq!(reg.counter("ws.events"), ws.total_events());
+        assert_eq!(reg.counter("ws.steals"), ws.sched.steals);
+        assert_eq!(reg.gauge("ws.workers"), Some(ws.sched.workers as f64));
     }
 
     #[test]
@@ -902,7 +702,6 @@ mod tests {
         let cfg = WsConfig {
             workers: 2,
             batch: 4,
-            migration_epoch: Some(16),
         };
         let (lps, edges) = ring(6);
         let plain = run_worksteal_cfg(lps, &edges, SimTime::new(200.0), cfg);
@@ -930,13 +729,6 @@ mod tests {
         );
         assert_eq!(tel.counter("ws.steals"), ws.sched.steals);
         assert_eq!(tel.counter("ws.parks"), ws.sched.parks);
-        assert_eq!(tel.counter("ws.migrations"), ws.sched.migrations);
-        // Online-placement surface for the repartitioning demo.
-        assert_eq!(ws.homes.len(), 6);
-        assert_eq!(ws.cost_ns.len(), 6);
-        assert!(ws.homes.iter().all(|&h| h < ws.sched.workers));
-        let imb = ws.observed_imbalance();
-        assert!(imb.is_finite() && imb >= 1.0 - 1e-9, "imbalance {imb}");
     }
 
     /// LP 0's first handler sends at t = 1.0, its second (at t = 0.1) at
@@ -981,7 +773,6 @@ mod tests {
     const ONE_BY_ONE: WsConfig = WsConfig {
         workers: 2,
         batch: 1,
-        migration_epoch: None,
     };
 
     #[test]

@@ -1,7 +1,7 @@
 //! Adversarial scheduling tests for the work-stealing engine: under
-//! extreme load imbalance (one LP owning ~90% of the work), forced
-//! mid-run migration, and every worker count, results are bit-identical
-//! to the sequential oracle — scheduling decisions must never leak into
+//! extreme load imbalance (one LP owning ~90% of the work), maximal steal
+//! interleaving and every worker count, results are bit-identical to the
+//! sequential oracle — scheduling decisions must never leak into
 //! simulation state.
 //!
 //! Cases are generated with the deterministic [`SimRng`] (seeded per
@@ -10,7 +10,7 @@
 
 use lsds_core::SimTime;
 use lsds_parallel::cmb::InitialEvents;
-use lsds_parallel::{profiled, run_sequential, run_worksteal_cfg, LogicalProcess, LpCtx, WsConfig};
+use lsds_parallel::{run_sequential, run_worksteal_cfg, LogicalProcess, LpCtx, WsConfig};
 use lsds_stats::SimRng;
 
 /// Marks a message as a pure cross-LP sink (mutates state, schedules
@@ -90,22 +90,6 @@ fn skewed(n: usize, until: f64, rng: &mut SimRng) -> Vec<SkewLp> {
         .collect()
 }
 
-/// Uniform event rate, per-event cost decaying as `1/(i+1)`: many light
-/// LPs and a few heavy ones, the usual mix of a partitioned model.
-fn zipf(n: usize, until: f64) -> Vec<SkewLp> {
-    (0..n)
-        .map(|i| SkewLp {
-            n,
-            acc: 0x51F0 + i as u64,
-            events: 0,
-            local_dt: 0.05,
-            work: 2_000 / (i as u32 + 1),
-            until,
-            la: 0.2,
-        })
-        .collect()
-}
-
 /// FNV-1a fold of every LP's final state — any lost, duplicated, or
 /// reordered delivery anywhere diverges it.
 fn fingerprint(lps: &[SkewLp]) -> u64 {
@@ -144,16 +128,8 @@ fn imbalanced_run_bit_identical_across_worker_counts() {
             seq.events[0] * proto[0].work as u64,
         );
         for workers in [1usize, 2, cores] {
-            let ws = run_worksteal_cfg(
-                proto.clone(),
-                &edges,
-                t_end,
-                WsConfig {
-                    workers,
-                    batch: 8,
-                    migration_epoch: None,
-                },
-            );
+            let ws =
+                run_worksteal_cfg(proto.clone(), &edges, t_end, WsConfig { workers, batch: 8 });
             assert_eq!(
                 fingerprint(&ws.lps),
                 fingerprint(&seq.lps),
@@ -165,80 +141,6 @@ fn imbalanced_run_bit_identical_across_worker_counts() {
                     "trial {trial} workers={workers} LP {i} event count"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn forced_migration_mid_run_preserves_bit_identity() {
-    let mut total_epochs = 0u64;
-    for trial in 0..6u64 {
-        let mut rng = SimRng::new(0xA11C + trial);
-        let n = 4 + rng.next_below(4) as usize;
-        let until = 4.0 + rng.next_below(3) as f64;
-        let proto = skewed(n, until, &mut rng);
-        let edges = ring_edges(n);
-        let t_end = SimTime::new(until);
-        let seq = run_sequential(proto.clone(), &edges, t_end);
-        // an epoch every 25 events forces many rebalances mid-run
-        let migr = run_worksteal_cfg(
-            proto.clone(),
-            &edges,
-            t_end,
-            WsConfig {
-                workers: 2,
-                batch: 4,
-                migration_epoch: Some(25),
-            },
-        );
-        assert_eq!(
-            fingerprint(&migr.lps),
-            fingerprint(&seq.lps),
-            "trial {trial}: migration changed results"
-        );
-        total_epochs += migr.sched.epochs;
-    }
-    // the whole point: rebalancing must actually have happened mid-run
-    assert!(
-        total_epochs > 0,
-        "migration epochs never fired — test lost its teeth"
-    );
-}
-
-/// The placement the epoch rebalancer learns online from its own cost
-/// record must be as balanced as the one `partition::profiled` builds from
-/// the same observed costs — no prior profiling run needed. Costs are
-/// wall-measured, so the comparison is within each run, with slack for
-/// tie-breaks between the two greedy passes.
-#[test]
-fn online_placement_matches_profiled_on_observed_costs() {
-    let (n, until) = (8, 8.0);
-    let hotspot = skewed(n, until, &mut SimRng::new(0x0B5E));
-    for (shape, proto) in [("hotspot", hotspot), ("zipf", zipf(n, until))] {
-        for workers in [2usize, 4] {
-            let ws = run_worksteal_cfg(
-                proto.clone(),
-                &ring_edges(n),
-                SimTime::new(until),
-                WsConfig {
-                    workers,
-                    batch: 64,
-                    migration_epoch: Some(100),
-                },
-            );
-            assert!(ws.sched.epochs > 0, "{shape} w={workers}: no epoch fired");
-            let costs: Vec<f64> = ws.cost_ns.iter().map(|&c| c as f64).collect();
-            let mut load = vec![0.0f64; workers];
-            for (lp, &home) in profiled(&costs, workers).iter().enumerate() {
-                load[home] += costs[lp];
-            }
-            let mean = load.iter().sum::<f64>() / workers as f64;
-            let offline = load.iter().fold(0.0f64, |a, &b| a.max(b)) / mean;
-            let online = ws.observed_imbalance();
-            assert!(
-                online <= offline * 1.15 + 1e-6,
-                "{shape} w={workers}: online imbalance {online:.3} lost to profiled {offline:.3}"
-            );
         }
     }
 }
@@ -264,7 +166,6 @@ fn steal_order_never_affects_results() {
                 WsConfig {
                     workers: 4,
                     batch: 1,
-                    migration_epoch: Some(10),
                 },
             );
             prints.push(fingerprint(&ws.lps));
@@ -288,16 +189,7 @@ fn batch_size_invisible_in_results() {
     let t_end = SimTime::new(until);
     let reference = run_sequential(proto.clone(), &edges, t_end);
     for batch in [1u32, 2, 7, 64, 4096] {
-        let ws = run_worksteal_cfg(
-            proto.clone(),
-            &edges,
-            t_end,
-            WsConfig {
-                workers: 3,
-                batch,
-                migration_epoch: None,
-            },
-        );
+        let ws = run_worksteal_cfg(proto.clone(), &edges, t_end, WsConfig { workers: 3, batch });
         assert_eq!(
             fingerprint(&ws.lps),
             fingerprint(&reference.lps),

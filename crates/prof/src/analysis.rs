@@ -70,23 +70,6 @@ impl SpanTrace {
         }
     }
 
-    /// Total handler wall-time per track (entity/LP id), in nanoseconds.
-    ///
-    /// This is the measured-cost vector profile-guided partitioning
-    /// consumes (`lsds-parallel`'s `partition::profiled_from_trace`):
-    /// index `i` is the wall time spent handling events on track `i`.
-    /// Spans on tracks `≥ n_tracks` are ignored (they belong to an
-    /// entity outside the requested range).
-    pub fn track_costs(&self, n_tracks: usize) -> Vec<f64> {
-        let mut costs = vec![0.0; n_tracks];
-        for s in &self.spans {
-            if let Some(c) = costs.get_mut(s.track as usize) {
-                *c += s.wall_ns as f64;
-            }
-        }
-        costs
-    }
-
     /// Extracts the longest virtual-time-weighted causal chain.
     ///
     /// Every event has exactly one causal parent, so the causality DAG is
@@ -221,21 +204,6 @@ impl CriticalPath {
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
         out
     }
-
-    /// Distinct tracks visited by the path, in first-appearance order.
-    ///
-    /// These are the entities whose handler chain bounds the makespan;
-    /// profile-guided partitioning boosts their weight so the chain is
-    /// spread across logical processes instead of queueing on one.
-    pub fn tracks(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for s in &self.steps {
-            if !out.contains(&s.track) {
-                out.push(s.track);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -330,42 +298,6 @@ mod tests {
         assert_eq!(m1.dropped, 3);
         let ids: Vec<u64> = m1.spans.iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![10, 11, 13, 12]);
-    }
-
-    #[test]
-    fn track_costs_sum_wall_time_per_track() {
-        let mut s0 = span(0, NO_PARENT, 1.0, "a"); // wall 10
-        let mut s1 = span(1, 0, 2.0, "a"); // wall 20
-        let mut s2 = span(2, 1, 3.0, "a"); // wall 30
-        s0.track = 0;
-        s1.track = 2;
-        s2.track = 2;
-        let out_of_range = Span {
-            track: 9,
-            ..span(3, 2, 4.0, "a")
-        };
-        let trace = SpanTrace {
-            spans: vec![s0, s1, s2, out_of_range],
-            dropped: 0,
-        };
-        assert_eq!(trace.track_costs(3), vec![10.0, 0.0, 50.0]);
-        assert_eq!(trace.track_costs(0), Vec::<f64>::new());
-    }
-
-    #[test]
-    fn critical_path_tracks_dedup_in_order() {
-        let mut s0 = span(0, NO_PARENT, 1.0, "a");
-        let mut s1 = span(1, 0, 2.0, "a");
-        let mut s2 = span(2, 1, 3.0, "a");
-        s0.track = 4;
-        s1.track = 1;
-        s2.track = 4;
-        let trace = SpanTrace {
-            spans: vec![s0, s1, s2],
-            dropped: 0,
-        };
-        let cp = trace.critical_path();
-        assert_eq!(cp.tracks(), vec![4, 1]);
     }
 
     #[test]

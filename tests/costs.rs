@@ -7,11 +7,14 @@
 //! inside the allocator), so tests running on parallel threads never see
 //! each other's allocations.
 
-use lsds::core::{BinaryHeapQueue, Ctx, EventDriven, Model, PooledQueue, Schedule, SimTime};
+use lsds::core::{
+    BinaryHeapQueue, Ctx, EventDriven, LpCore, Model, PooledQueue, Schedule, SimTime,
+};
 use lsds::grid::organization::{flat_grid, SiteSpec};
 use lsds::grid::scheduler::LeastLoaded;
 use lsds::grid::{Activity, GridConfig, GridModel, ReplicationPolicy};
 use lsds::net::{gbps, mbps, FlowEvent, FlowNet, LinkFault, LinkId, NodeId, NodeKind, Topology};
+use lsds::obs::NoopTracer;
 use lsds::parallel::cmb::InitialEvents;
 use lsds::parallel::{run_sequential, LogicalProcess, LpCtx};
 use lsds::stats::{Dist, SimRng};
@@ -245,6 +248,38 @@ fn sequential_oracle_allocations_do_not_grow_with_events() {
     assert!((1_000..1_200).contains(&short_events), "{short_events}");
     assert!((10_000..12_000).contains(&long_events), "{long_events}");
     assert_eq!(short, long);
+}
+
+/// Allocations of `steps` deliveries by one warmed-up [`LpCore`] running a
+/// relay LP: its local hops stay in its own list, and each send to its one
+/// out-neighbour comes straight back through `accept` — the receive path
+/// of the CMB and work-stealing engines — so two tokens stay pending.
+fn lp_step_allocations(steps: usize) -> u64 {
+    let mut core = LpCore::new(0, Relay { n: 2 }, vec![1], NoopTracer);
+    let mut inbox = Vec::new();
+    core.init(|_, _, ev| inbox.push(ev));
+    let mut run = |steps: usize| {
+        for _ in 0..steps {
+            core.step(|_, _, ev| inbox.push(ev));
+            for ev in inbox.drain(..) {
+                core.accept(ev);
+            }
+        }
+    };
+    run(1_000);
+    let ((), allocs) = allocations(|| run(steps));
+    assert_eq!(core.queue_len(), 2);
+    allocs
+}
+
+/// DESIGN §6c for the per-LP kernel the CMB, timestep and work-stealing
+/// engines run on: once its list and send buffer have their size, a step
+/// — handler, local schedule, staged send, drain — and the accept of an
+/// incoming event allocate nothing.
+#[test]
+fn lp_core_step_allocates_nothing_per_event() {
+    assert_eq!(lp_step_allocations(2_000), 0);
+    assert_eq!(lp_step_allocations(20_000), 0);
 }
 
 /// The hold model: every event reschedules itself after a pseudo-random
