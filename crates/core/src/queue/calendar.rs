@@ -414,6 +414,21 @@ mod tests {
     }
 
     #[test]
+    fn tie_keys_out_of_order() {
+        conformance::tie_keys_out_of_order(CalendarQueue::new(), 6);
+    }
+
+    #[test]
+    fn signed_zero_and_negative_times() {
+        conformance::signed_zero_and_negative_times(CalendarQueue::new(), 7);
+    }
+
+    #[test]
+    fn sizes_around_group_boundaries() {
+        conformance::sizes_around_group_boundaries(CalendarQueue::new, 8);
+    }
+
+    #[test]
     fn run_pop() {
         conformance::pop_run_matches_pop_min(CalendarQueue::new(), CalendarQueue::new(), 25);
     }

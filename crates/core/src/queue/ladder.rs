@@ -32,17 +32,20 @@ struct Rung<E> {
 }
 
 impl<E> Rung<E> {
-    /// Builds a rung covering the half-open span `[start, end)`, with one
-    /// bucket per event (+1 so an event sitting exactly at `end` still
-    /// lands inside the last bucket). The span must be the full range the
-    /// rung is responsible for — not merely the range of `events` — so
-    /// that later inserts anywhere in the span are accepted by this rung
-    /// rather than leaking past the ladder.
+    /// Builds a rung spreading the span `[start, end)` over one bucket per
+    /// event, plus one. The span should be the full range the rung is
+    /// responsible for — not merely the range of `events` — so that later
+    /// inserts spread over its buckets too; which bucket an event takes is
+    /// [`Rung::bucket`] alone, so rounding at the span's edges costs
+    /// balance, never order.
     fn spanning(events: Vec<ScheduledEvent<E>>, start: f64, end: f64) -> Self {
         debug_assert!(!events.is_empty());
         let n = events.len();
-        let width = if end > start {
-            (end - start) / (n + 1) as f64
+        let span = end - start;
+        let width = if span / (n + 1) as f64 > 0.0 {
+            span / (n + 1) as f64
+        } else if span > 0.0 {
+            span
         } else {
             1.0
         };
@@ -54,33 +57,21 @@ impl<E> Rung<E> {
             count: 0,
         };
         for ev in events {
-            rung.push(ev);
+            let i = rung.bucket(ev.time.seconds());
+            rung.push(i, ev);
         }
         rung
     }
 
-    /// Time at which the not-yet-consumed region begins.
+    /// The bucket time `t` belongs to: a monotone function of `t`, so
+    /// equal times always share a bucket. Times before the span saturate
+    /// to the first bucket, times past it clamp to the last.
     #[inline]
-    fn cur_start(&self) -> f64 {
-        self.start + self.cur as f64 * self.width
+    fn bucket(&self, t: f64) -> usize {
+        (((t - self.start) / self.width) as usize).min(self.buckets.len() - 1)
     }
 
-    /// End of the rung's coverage.
-    #[inline]
-    fn end(&self) -> f64 {
-        self.start + self.buckets.len() as f64 * self.width
-    }
-
-    #[inline]
-    fn accepts(&self, t: f64) -> bool {
-        t >= self.cur_start() && t < self.end()
-    }
-
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        let t = ev.time.seconds();
-        // Clamp into the unconsumed range: `accepts` guarantees
-        // t >= cur_start up to floating-point rounding at the boundary.
-        let i = (((t - self.start) / self.width) as usize).clamp(self.cur, self.buckets.len() - 1);
+    fn push(&mut self, i: usize, ev: ScheduledEvent<E>) {
         self.buckets[i].push(ev);
         self.count += 1;
     }
@@ -165,9 +156,9 @@ impl<E> LadderQueue<E> {
                 }
             } else if !self.top.is_empty() {
                 let events = std::mem::take(&mut self.top);
-                self.top_start = self.top_max;
-                // The new first rung owns everything below the raised
-                // top boundary; inserts at or past `top_start` go to top.
+                // The new first rung owns everything up to `top_max`,
+                // ties included; inserts at or past `top_start` go to top.
+                self.top_start = self.top_max.next_up();
                 let lo = events
                     .iter()
                     .map(|ev| ev.time.seconds())
@@ -191,21 +182,21 @@ impl<E> EventQueue<E> for LadderQueue<E> {
     fn insert(&mut self, ev: ScheduledEvent<E>) {
         self.size += 1;
         let t = ev.time.seconds();
-        if self.rungs.is_empty() && self.bottom.is_empty() {
-            // nothing structured yet: everything goes to top
+        // nothing structured yet, or past every rung: top
+        if (self.rungs.is_empty() && self.bottom.is_empty()) || t >= self.top_start {
             self.top_max = self.top_max.max(t);
             self.top.push(ev);
             return;
         }
-        if t >= self.top_start {
-            self.top_max = self.top_max.max(t);
-            self.top.push(ev);
-            return;
-        }
-        // deepest (finest, earliest-range) rung that can take it
-        for rung in self.rungs.iter_mut().rev() {
-            if rung.accepts(t) {
-                rung.push(ev);
+        // Coarsest rung first. A bucket a rung has already handed down
+        // lives on as the next finer rung or, from the finest, as the
+        // bottom, so an event whose bucket is consumed follows it there —
+        // by the same `bucket` function its earlier ties took, so equal
+        // times never land in two tiers.
+        for rung in &mut self.rungs {
+            let i = rung.bucket(t);
+            if i >= rung.cur {
+                rung.push(i, ev);
                 return;
             }
         }
@@ -238,7 +229,7 @@ impl<E> EventQueue<E> for LadderQueue<E> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::conformance;
+    use super::super::conformance::{self, Op};
     use super::*;
     use lsds_stats::SimRng;
 
@@ -270,6 +261,21 @@ mod tests {
     #[test]
     fn clustered() {
         conformance::clustered_times(LadderQueue::new(), 34);
+    }
+
+    #[test]
+    fn tie_keys_out_of_order() {
+        conformance::tie_keys_out_of_order(LadderQueue::new(), 6);
+    }
+
+    #[test]
+    fn signed_zero_and_negative_times() {
+        conformance::signed_zero_and_negative_times(LadderQueue::new(), 7);
+    }
+
+    #[test]
+    fn sizes_around_group_boundaries() {
+        conformance::sizes_around_group_boundaries(LadderQueue::new, 8);
     }
 
     #[test]
@@ -318,65 +324,21 @@ mod tests {
         }
     }
 
-    /// Runs the same insert/pop script against the ladder and the sorted
-    /// list (the trivially-correct reference), asserting both produce the
-    /// identical `(time-bits, seq, event)` stream — order *and* content.
-    fn assert_matches_sorted_list(script: impl Fn(&mut dyn FnMut(Op))) {
-        use super::super::sorted_list::SortedListQueue;
-        enum Run<E> {
-            Ladder(LadderQueue<E>),
-            List(SortedListQueue<E>),
-        }
-        let mut outs: Vec<Vec<(u64, u64, u64)>> = Vec::new();
-        for mut q in [
-            Run::Ladder(LadderQueue::new()),
-            Run::List(SortedListQueue::new()),
-        ] {
-            let mut out = Vec::new();
-            script(&mut |op| match op {
-                Op::Insert(t, s) => match &mut q {
-                    Run::Ladder(q) => q.insert(ScheduledEvent::new(SimTime::new(t), s, s)),
-                    Run::List(q) => q.insert(ScheduledEvent::new(SimTime::new(t), s, s)),
-                },
-                Op::Pop => {
-                    let ev = match &mut q {
-                        Run::Ladder(q) => q.pop_min(),
-                        Run::List(q) => q.pop_min(),
-                    };
-                    if let Some(ev) = ev {
-                        out.push((ev.time.seconds().to_bits(), ev.seq, ev.event));
-                    }
-                }
-            });
-            outs.push(out);
-        }
-        assert_eq!(outs[0], outs[1], "ladder diverged from sorted list");
-    }
-
-    enum Op {
-        Insert(f64, u64),
-        Pop,
-    }
-
     #[test]
     fn matches_sorted_list_on_all_equal_times() {
         // adversarial: every event at the same timestamp, pops interleaved
         // with inserts so the degenerate zero-width bucket keeps splitting
-        assert_matches_sorted_list(|do_op| {
-            let mut seq = 0u64;
-            for round in 0..6 {
-                for _ in 0..120 {
-                    do_op(Op::Insert(7.5, seq));
-                    seq += 1;
-                }
-                for _ in 0..(40 + round * 10) {
-                    do_op(Op::Pop);
-                }
+        let mut ops = Vec::new();
+        let mut seq = 0u64;
+        for round in 0..6 {
+            for _ in 0..120 {
+                ops.push(Op::Insert(7.5, seq));
+                seq += 1;
             }
-            for _ in 0..2000 {
-                do_op(Op::Pop);
-            }
-        });
+            ops.extend((0..40 + round * 10).map(|_| Op::Pop));
+        }
+        ops.extend((0..2000).map(|_| Op::Pop));
+        conformance::matches_sorted_list(LadderQueue::new(), ops);
     }
 
     #[test]
@@ -384,27 +346,17 @@ mod tests {
         // adversarial: after a partial drain, each insert lands *earlier*
         // than the one before (but still >= the last pop), repeatedly
         // probing the gap between consumed buckets and live rung spans
-        assert_matches_sorted_list(|do_op| {
-            let mut seq = 0u64;
-            for i in 0..300 {
-                do_op(Op::Insert(i as f64 * 0.01, seq));
-                seq += 1;
+        let mut ops: Vec<Op> = (0..300).map(|i| Op::Insert(i as f64 * 0.01, i)).collect();
+        ops.extend((0..50).map(|_| Op::Pop));
+        // last pop was at ~0.49; walk inserts downward toward it
+        for i in 0..200 {
+            ops.push(Op::Insert(2.9 - i as f64 * 0.012, 300 + i));
+            if i % 3 == 0 {
+                ops.push(Op::Pop);
             }
-            for _ in 0..50 {
-                do_op(Op::Pop);
-            }
-            // last pop was at ~0.49; walk inserts downward toward it
-            for i in 0..200 {
-                do_op(Op::Insert(2.9 - i as f64 * 0.012, seq));
-                seq += 1;
-                if i % 3 == 0 {
-                    do_op(Op::Pop);
-                }
-            }
-            for _ in 0..1000 {
-                do_op(Op::Pop);
-            }
-        });
+        }
+        ops.extend((0..1000).map(|_| Op::Pop));
+        conformance::matches_sorted_list(LadderQueue::new(), ops);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! | structure | insert | pop-min | notes |
 //! |---|---|---|---|
-//! | [`BinaryHeapQueue`] | O(log n) | O(log n) | the textbook default |
+//! | [`BinaryHeapQueue`] | O(log n) | O(log n) | the default; 4-ary, one cache line of keys per level |
 //! | [`SortedListQueue`] | O(n) | O(1) | fine for tiny models, collapses at scale |
 //! | [`CalendarQueue`] | O(1) am. | O(1) am. | Brown 1988; self-resizing buckets |
 //! | [`LadderQueue`] | O(1) am. | O(1) am. | Tang/Goh-style tiered buckets |
@@ -313,6 +313,146 @@ pub(crate) mod conformance {
         }
         assert_eq!(total, 3000);
         assert!(b.pop_min().is_none());
+    }
+
+    /// One step of a script that [`matches_sorted_list`] runs.
+    #[derive(Clone, Copy, Debug)]
+    pub enum Op {
+        /// Insert `(time, seq)` with `seq` as the payload.
+        Insert(f64, u64),
+        Pop,
+        Peek,
+        PopNext,
+        PopRun,
+    }
+
+    /// `(time bits, seq, payload)`: what two queues must agree on.
+    fn bits(ev: &ScheduledEvent<u64>) -> (u64, u64, u64) {
+        (ev.time.seconds().to_bits(), ev.seq, ev.event)
+    }
+
+    /// Runs `ops` on `q` and on a [`SortedListQueue`] reference and
+    /// asserts after every step that both returned the same events and
+    /// hold the same number. The reference answers `pop_next` and
+    /// `pop_run` from `pop_min`/`peek_time` alone, so a structure's own
+    /// contiguous drains are checked against its single pops. An insert
+    /// never precedes the last delivered time, as in every engine.
+    pub fn matches_sorted_list<Q: EventQueue<u64>>(mut q: Q, ops: impl IntoIterator<Item = Op>) {
+        let mut reference = SortedListQueue::new();
+        let mut floor = SimTime::new(f64::MIN);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let name = q.name();
+        for (step, op) in ops.into_iter().enumerate() {
+            got.clear();
+            want.clear();
+            match op {
+                Op::Insert(t, seq) => {
+                    let t = SimTime::new(t).max(floor);
+                    q.insert(ScheduledEvent::new(t, seq, seq));
+                    reference.insert(ScheduledEvent::new(t, seq, seq));
+                }
+                Op::Pop => {
+                    want.extend(reference.pop_min());
+                    let a = q.pop_min().as_ref().map(bits);
+                    assert_eq!(a, want.first().map(bits), "{name}: pop_min at step {step}");
+                }
+                Op::Peek => {
+                    let a = q.peek_time().map(|t| t.seconds().to_bits());
+                    let b = reference.peek_time().map(|t| t.seconds().to_bits());
+                    assert_eq!(a, b, "{name}: peek_time at step {step}");
+                }
+                Op::PopNext | Op::PopRun => {
+                    if let Some(head) = reference.pop_min() {
+                        while reference
+                            .peek_time()
+                            .is_some_and(|t| t.same_instant(head.time))
+                        {
+                            want.extend(reference.pop_min());
+                        }
+                        want.insert(0, head);
+                    }
+                    if let Op::PopRun = op {
+                        let n = q.pop_run(&mut got);
+                        assert_eq!(n, got.len(), "{name}: pop_run count at step {step}");
+                    } else if let Some(head) = q.pop_next(&mut got) {
+                        got.insert(0, head);
+                    }
+                    let a: Vec<_> = got.iter().map(bits).collect();
+                    let b: Vec<_> = want.iter().map(bits).collect();
+                    assert_eq!(a, b, "{name}: {op:?} at step {step}");
+                }
+            }
+            if let Some(ev) = want.last() {
+                floor = ev.time;
+            }
+            assert_eq!(q.len(), reference.len(), "{name}: len at step {step}");
+        }
+    }
+
+    /// A random mix of `inserts` inserts (times drawn from `times`, seqs a
+    /// shuffled permutation, so equal times arrive with descending and
+    /// out-of-order seqs) and all four kinds of removal and peek, then a
+    /// drain.
+    fn shuffled_script(rng: &mut SimRng, times: &[f64], inserts: u64) -> Vec<Op> {
+        let mut seqs: Vec<u64> = (0..inserts).collect();
+        rng.shuffle(&mut seqs);
+        let mut ops = Vec::new();
+        for seq in seqs {
+            ops.push(Op::Insert(*rng.choose(times), seq));
+            for _ in 0..rng.next_below(3) {
+                let other = [Op::Pop, Op::Peek, Op::PopNext, Op::PopRun];
+                ops.push(*rng.choose(&other));
+            }
+        }
+        ops.extend((0..inserts).flat_map(|_| [Op::Peek, Op::PopNext, Op::Pop, Op::PopRun]));
+        ops
+    }
+
+    /// Equal times inserted with descending and shuffled seqs, as
+    /// `LpCore` does when remote sends carry other LPs' tie keys.
+    pub fn tie_keys_out_of_order<Q: EventQueue<u64>>(q: Q, seed: u64) {
+        let mut rng = SimRng::new(seed);
+        let mut ops: Vec<Op> = (0..64).rev().map(|s| Op::Insert(1.0, 1_000 + s)).collect();
+        ops.extend((0..64).map(|_| Op::PopNext));
+        ops.extend(shuffled_script(&mut rng, &[1.0, 2.0, 2.5, 4.0], 600));
+        matches_sorted_list(q, ops);
+    }
+
+    /// `-0.0`, `+0.0` (distinct instants: `-0.0` sorts first) and negative
+    /// times, each shared by several events.
+    pub fn signed_zero_and_negative_times<Q: EventQueue<u64>>(q: Q, seed: u64) {
+        let mut rng = SimRng::new(seed);
+        // both zeros pending at the head, each sign with a lower seq once
+        let mut ops: Vec<Op> = [(0.0, 1_001), (-0.0, 1_002), (0.0, 1_000), (-0.0, 1_003)]
+            .into_iter()
+            .map(|(t, s)| Op::Insert(t, s))
+            .collect();
+        ops.extend([Op::Insert(-1.5, 1_004), Op::Peek, Op::PopNext, Op::Peek]);
+        ops.extend([Op::PopNext, Op::Peek, Op::Pop, Op::PopRun]);
+        let times = [-5.0, -1.5, -1.0e-300, -0.0, 0.0, 1.0e-300, 0.25, 3.0];
+        ops.extend(shuffled_script(&mut rng, &times, 400));
+        matches_sorted_list(q, ops);
+    }
+
+    /// Every size from 0 to 70 pending, around the heap's four-key child
+    /// groups: each filled fresh (`make`) and, one after another, in a
+    /// reused queue, then drained by alternating removals and peeks.
+    pub fn sizes_around_group_boundaries<Q: EventQueue<u64>>(make: impl Fn() -> Q, seed: u64) {
+        let mut rng = SimRng::new(seed);
+        let mut all = Vec::new();
+        for n in 0..=70u64 {
+            let mut seqs: Vec<u64> = (0..n).collect();
+            rng.shuffle(&mut seqs);
+            let mut ops: Vec<Op> = seqs
+                .into_iter()
+                .map(|s| Op::Insert(rng.next_below(8) as f64 * 0.5, s))
+                .collect();
+            let drain = [Op::Peek, Op::Pop, Op::PopNext, Op::Peek, Op::PopRun];
+            ops.extend(drain.iter().cycle().take(2 * n as usize + 2));
+            matches_sorted_list(make(), ops.clone());
+            all.extend(ops);
+        }
+        matches_sorted_list(make(), all);
     }
 
     pub fn clustered_times<Q: EventQueue<u64>>(mut q: Q, seed: u64) {

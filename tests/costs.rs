@@ -8,7 +8,8 @@
 //! each other's allocations.
 
 use lsds::core::{
-    BinaryHeapQueue, Ctx, EventDriven, LpCore, Model, PooledQueue, Schedule, SimTime,
+    BinaryHeapQueue, Ctx, EventDriven, EventQueue, LpCore, Model, PooledQueue, Schedule,
+    ScheduledEvent, SimTime, TraceDriven,
 };
 use lsds::grid::organization::{flat_grid, SiteSpec};
 use lsds::grid::scheduler::LeastLoaded;
@@ -282,6 +283,14 @@ fn lp_core_step_allocates_nothing_per_event() {
     assert_eq!(lp_step_allocations(20_000), 0);
 }
 
+/// A pseudo-random delay in `[0.5, 1.5)` from a linear congruential step.
+fn delay(state: &mut u64) -> f64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    0.5 + (*state >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// The hold model: every event reschedules itself after a pseudo-random
 /// delay, so the pending count stays at its initial fill.
 struct Hold {
@@ -291,13 +300,85 @@ struct Hold {
 impl Model for Hold {
     type Event = u32;
     fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = (self.state >> 11) as f64 / (1u64 << 53) as f64;
-        ctx.schedule_in(0.5 + u, ev);
+        ctx.schedule_in(delay(&mut self.state), ev);
     }
+}
+
+/// Answers each replayed record (even payload) with one internal event
+/// (odd payload) a pseudo-random delay later, so the pending count stays
+/// at the records in flight.
+struct Echo {
+    state: u64,
+}
+
+impl Model for Echo {
+    type Event = u32;
+    fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
+        if ev.is_multiple_of(2) {
+            ctx.schedule_in(delay(&mut self.state), ev + 1);
+        }
+    }
+}
+
+/// Allocations of the hold model on `engine` from t = 10 to t = 30, after
+/// 1 000 events scheduled over the first second and a run to t = 10 that
+/// gives its event list its size.
+fn hold_allocations<Q: EventQueue<u32>>(mut engine: EventDriven<Hold, Q>) -> u64 {
+    for ev in 0..1_000 {
+        engine.schedule(SimTime::new(ev as f64 / 1_000.0), ev);
+    }
+    engine.run_until(SimTime::new(10.0));
+    let (stats, n) = allocations(|| engine.run_until(SimTime::new(30.0)));
+    assert!(stats.events > 10_000);
+    n
+}
+
+/// DESIGN §6c: once the default event list has reached its size, the
+/// default engine delivers and reschedules without allocating.
+#[test]
+fn event_driven_allocates_nothing_per_event() {
+    assert_eq!(hold_allocations(EventDriven::new(Hold { state: 7 })), 0);
+}
+
+/// DESIGN §6c: the trace-replay engine merges an allocation-free record
+/// stream with the model's own events; once its event list has its size,
+/// neither a replayed record nor an internal event allocates.
+#[test]
+fn trace_driven_allocates_nothing_per_event() {
+    let records = (0u32..).map(|i| (SimTime::new(f64::from(i) / 100.0), 2 * i));
+    let mut engine = TraceDriven::new(Echo { state: 7 }, records);
+    engine.run_until(SimTime::new(10.0));
+    let (stats, n) = allocations(|| engine.run_until(SimTime::new(30.0)));
+    assert!(stats.events > 3_900, "{}", stats.events);
+    assert_eq!(n, 0);
+}
+
+/// Bytes the default event list allocates while filling to 2^16 pending
+/// `u32` payloads: 16-byte keys and 4-byte payload slots, both doubling
+/// from 8 to 2^17 lanes (the root lane and the line lead need a few past
+/// 2^16), and the slab's 24-byte `(parent, payload)` entries, doubling
+/// from 4 to 2^16; a `realloc` counts its new size.
+const HEAP_FILL_BYTES: u64 = 8_388_352;
+
+/// The same fill over 32-byte `(u128 key, u32 slot)` heap nodes beside a
+/// slab of whole 40-byte `ScheduledEvent<u32>` records.
+const NODE_HEAP_FILL_BYTES: u64 = 9_436_896;
+
+const _: () = assert!(HEAP_FILL_BYTES < NODE_HEAP_FILL_BYTES);
+
+/// DESIGN §6c: the default event list's bytes per pending event are
+/// pinned, below a layout of 32-byte nodes and whole records.
+#[test]
+fn binary_heap_fill_bytes_are_pinned() {
+    let mut q = BinaryHeapQueue::new();
+    let ((), bytes) = allocated_bytes(|| {
+        for i in 0..1u32 << 16 {
+            let t = SimTime::new(f64::from(i.wrapping_mul(2_654_435_761) >> 16));
+            q.insert(ScheduledEvent::new(t, u64::from(i), i));
+        }
+    });
+    assert_eq!(q.len(), 1 << 16);
+    assert_eq!(bytes, HEAP_FILL_BYTES);
 }
 
 /// DESIGN §6c: once the pooled event list has reached its size, the
@@ -305,15 +386,8 @@ impl Model for Hold {
 #[test]
 fn event_driven_pooled_heap_allocates_nothing_per_event() {
     let queue = PooledQueue::new(BinaryHeapQueue::new());
-    let mut engine = EventDriven::with_queue(Hold { state: 7 }, queue);
-    for ev in 0..1_000 {
-        engine.schedule(SimTime::new(ev as f64 / 1_000.0), ev);
-    }
-    engine.run_until(SimTime::new(10.0));
-    let before = engine.processed();
-    let (_, n) = allocations(|| engine.run_until(SimTime::new(30.0)));
-    assert!(engine.processed() - before > 10_000);
-    assert_eq!(n, 0);
+    let engine = EventDriven::with_queue(Hold { state: 7 }, queue);
+    assert_eq!(hold_allocations(engine), 0);
 }
 
 /// `n` JSON-lines trace records over 11 nodes and 50 metrics; each name
