@@ -695,9 +695,10 @@ mod tests {
         let cfg = TraceConfig::default();
         let (_, trace) = run_flow_sharing_traced(6, 100, ShareMode::Incremental, false, 9, cfg);
         let mut doc = Vec::new();
-        lsds_trace::write_chrome_trace(&trace, &mut doc).expect("render chrome trace");
+        lsds_trace::write_chrome_trace(&trace, &[], &mut doc).expect("render chrome trace");
         let text = String::from_utf8(doc).expect("chrome trace is UTF-8");
-        let slices = lsds_trace::validate_chrome_trace(&text).expect("chrome trace must validate");
+        let (slices, _) =
+            lsds_trace::validate_chrome_trace(&text).expect("chrome trace must validate");
         assert!(slices > 0, "full trace recorded no spans");
         assert_eq!(slices, trace.len(), "exported slice count");
     }

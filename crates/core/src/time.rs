@@ -11,7 +11,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in seconds. Always finite and non-NaN.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Equality is [`SimTime::same_instant`] and order is `f64::total_cmp`,
+/// so `a == b` exactly when `a.cmp(&b)` is `Equal`: `-0.0` and `+0.0` are
+/// two instants, `-0.0` first, as in every event list.
+#[derive(Debug, Clone, Copy)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -84,6 +88,13 @@ impl SimTime {
     }
 }
 
+impl PartialEq for SimTime {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.same_instant(*other)
+    }
+}
+
 impl Eq for SimTime {}
 
 impl PartialOrd for SimTime {
@@ -146,6 +157,19 @@ mod tests {
         assert!(SimTime::new(2.0) == SimTime::new(2.0));
         assert_eq!(SimTime::ZERO.max(SimTime::new(3.0)), SimTime::new(3.0));
         assert_eq!(SimTime::new(5.0).min(SimTime::new(3.0)), SimTime::new(3.0));
+    }
+
+    #[test]
+    fn eq_agrees_with_cmp() {
+        assert_ne!(SimTime::new(-0.0), SimTime::ZERO);
+        assert!(SimTime::new(-0.0) < SimTime::ZERO);
+        // signed zeros, a negative, a subnormal and ordinary times
+        let times = [-0.0, 0.0, -1.5, 1e-310, 1.0, 1.5].map(SimTime::new);
+        for a in times {
+            for b in times {
+                assert_eq!(a == b, a.cmp(&b).is_eq(), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -45,9 +45,10 @@ impl LinkFault {
     }
 }
 
-/// Retry-with-exponential-backoff and timeout knobs for transfer services
-/// sitting on a faulty network (the [`crate::FtpService`] and the grid
-/// staging layer both consume this).
+/// Retry-with-exponential-backoff knobs for transfers on a faulty network.
+/// Its one consumer is the grid's staging layer (`lsds-grid`'s
+/// `GridModel::set_retry_policy`), which restarts a transfer that
+/// [`crate::FlowNet`] aborted or could not route.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Give up after this many retries of one transfer (the initial
@@ -59,10 +60,6 @@ pub struct RetryPolicy {
     pub backoff_factor: f64,
     /// Ceiling on any single backoff interval, in seconds.
     pub max_backoff: f64,
-    /// Abort a transfer still in flight after this many seconds and treat
-    /// it like a failure (retried under the same budget). `None` disables
-    /// timeouts.
-    pub timeout: Option<f64>,
 }
 
 impl Default for RetryPolicy {
@@ -72,7 +69,6 @@ impl Default for RetryPolicy {
             base_backoff: 5.0,
             backoff_factor: 2.0,
             max_backoff: 600.0,
-            timeout: None,
         }
     }
 }
@@ -130,7 +126,6 @@ mod tests {
             base_backoff: 1.0,
             backoff_factor: 2.0,
             max_backoff: 10.0,
-            timeout: None,
         };
         assert_eq!(p.backoff(0), 1.0);
         assert_eq!(p.backoff(1), 2.0);

@@ -2,8 +2,12 @@
 //!
 //! Implements the *network characteristics* axis of the taxonomy (§3):
 //! "network elements interconnecting hosts … routers, switches and other
-//! devices", infrastructure protocols (TCP/UDP-like transports), and
-//! higher-level application protocols (an FTP-like bulk transfer service).
+//! devices", and infrastructure protocols (TCP/UDP-like transports). Of
+//! the "higher-level application protocols such as FTP, NFS", only bulk
+//! transfer is modelled, and not here: the grid's data staging
+//! (`lsds-grid`'s `GridModel`) drives [`FlowNet`] directly and retries
+//! failed transfers under a [`RetryPolicy`]. No session-limited FTP-like
+//! service and no Poisson cross-traffic generator is modelled.
 //!
 //! The taxonomy's *granularity* axis is first-class: "the simulation of the
 //! network can model in detail the flow of each packet through the network,
@@ -32,8 +36,6 @@ pub mod flow;
 pub mod packet;
 pub mod routing;
 pub mod topology;
-pub mod traffic;
-pub mod transfer;
 pub mod transport;
 
 pub use fault::{poisson_link_outages, LinkFault, RetryPolicy};
@@ -43,6 +45,4 @@ pub use flow::{
 pub use packet::{PacketEvent, PacketNet, PacketNote};
 pub use routing::{RouteCache, Routing};
 pub use topology::{gbps, mbps, LinkId, NodeId, NodeKind, Topology};
-pub use traffic::{BackgroundTraffic, FlowDemand, TrafficEvent};
-pub use transfer::{FtpService, TransferDone, TransferEvent, TransferRequest};
 pub use transport::{TcpConnection, TransportEvent, TransportNet, TransportNote, UdpStream};

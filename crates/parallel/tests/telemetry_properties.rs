@@ -15,7 +15,7 @@ use lsds_parallel::{
     run_timestep_telemetry, run_timewarp_cfg, run_timewarp_telemetry, run_worksteal_cfg,
     run_worksteal_telemetry, LogicalProcess, LpCtx, TwConfig, WsConfig,
 };
-use lsds_trace::{validate_chrome_trace_full, write_chrome_trace_with_counters};
+use lsds_trace::{validate_chrome_trace, write_chrome_trace};
 
 const REMOTE: u64 = 1 << 63;
 
@@ -222,10 +222,10 @@ fn worksteal_counter_tracks_export_and_validate() {
     let (lps, edges) = workload(N, UNTIL);
     let (_, tel) = run_worksteal_telemetry(lps, &edges, SimTime::new(UNTIL), WS, tcfg());
     let mut doc = Vec::new();
-    write_chrome_trace_with_counters(&SpanTrace::new(), &tel.counter_tracks(), &mut doc)
+    write_chrome_trace(&SpanTrace::new(), &tel.counter_tracks(), &mut doc)
         .expect("render counter tracks");
     let text = String::from_utf8(doc).expect("chrome trace is UTF-8");
-    let (slices, samples) = validate_chrome_trace_full(&text).expect("trace must validate");
+    let (slices, samples) = validate_chrome_trace(&text).expect("trace must validate");
     assert_eq!(slices, 0, "no spans were recorded");
     assert!(samples > 0, "counter tracks must carry samples");
 }

@@ -1,9 +1,10 @@
-//! JSON export of observability snapshots.
+//! JSON export of observability snapshots and span traces.
 //!
 //! Renders an [`lsds_obs::Snapshot`] as a single JSON document — the
 //! MonALISA-style "repository" view of a run: every counter, gauge,
 //! time-weighted series (with its retained step points), and value
-//! summary, keyed by metric name.
+//! summary, keyed by metric name — and an [`lsds_obs::SpanTrace`], with
+//! any telemetry counter tracks, as a Chrome trace-event document.
 
 use crate::json::Json;
 use lsds_obs::{CounterTrack, Snapshot, SpanTrace, NO_PARENT, NO_TAG};
@@ -30,7 +31,7 @@ use std::io::{self, Write};
 ///   }
 /// }
 /// ```
-pub fn snapshot_to_json(snap: &Snapshot) -> Json {
+fn snapshot_to_json(snap: &Snapshot) -> Json {
     let counters = snap
         .counters
         .iter()
@@ -93,12 +94,8 @@ pub fn snapshot_to_json_string(snap: &Snapshot) -> String {
     snapshot_to_json(snap).render_pretty()
 }
 
-/// Writes the pretty-printed snapshot JSON to `w`.
-pub fn write_snapshot(snap: &Snapshot, mut w: impl Write) -> io::Result<()> {
-    w.write_all(snapshot_to_json_string(snap).as_bytes())
-}
-
-/// Converts a causal span trace into Chrome trace-event JSON.
+/// Converts a causal span trace and telemetry counter tracks into Chrome
+/// trace-event JSON.
 ///
 /// The document loads directly in `chrome://tracing` and Perfetto: one
 /// complete event (`"ph": "X"`) per span, with virtual time mapped to the
@@ -106,20 +103,13 @@ pub fn write_snapshot(snap: &Snapshot, mut w: impl Write) -> io::Result<()> {
 /// duration (`dur`, µs), and one named thread per track (entity, site, or
 /// LP). Event ids and parents ride in `args` as decimal strings — they are
 /// `u64` tie keys that would lose precision as JSON numbers.
-pub fn chrome_trace_json(trace: &SpanTrace) -> Json {
-    chrome_trace_json_with_counters(trace, &[])
-}
-
-/// Chrome trace-event JSON with telemetry counter tracks alongside the
-/// span tracks.
 ///
 /// Each [`CounterTrack`] becomes a run of counter events (`"ph": "C"`) on
-/// the same microsecond timeline as the spans (`ts = vt · 1e6`), with the
-/// sampled value in `args.value`. Counter events on lane 0 keep the bare
-/// counter name; other lanes get a `name[track]` suffix so per-LP or
-/// per-worker lanes render as separate counter tracks in Perfetto (which
-/// keys counters by `(pid, name)`).
-pub fn chrome_trace_json_with_counters(trace: &SpanTrace, counters: &[CounterTrack]) -> Json {
+/// the same timeline, with the sampled value in `args.value`. Counter
+/// events on lane 0 keep the bare counter name; other lanes get a
+/// `name[track]` suffix so per-LP or per-worker lanes render as separate
+/// counter tracks in Perfetto (which keys counters by `(pid, name)`).
+fn chrome_trace_json_with_counters(trace: &SpanTrace, counters: &[CounterTrack]) -> Json {
     let mut tracks: Vec<u32> = trace.spans.iter().map(|s| s.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
@@ -187,53 +177,32 @@ pub fn chrome_trace_json_with_counters(trace: &SpanTrace, counters: &[CounterTra
     ])
 }
 
-/// Compact Chrome trace-event JSON (ends with a newline).
-pub fn chrome_trace_to_string(trace: &SpanTrace) -> String {
-    let mut s = chrome_trace_json(trace).render();
-    s.push('\n');
-    s
-}
-
-/// Writes the Chrome trace-event JSON to `w`.
-pub fn write_chrome_trace(trace: &SpanTrace, mut w: impl Write) -> io::Result<()> {
-    w.write_all(chrome_trace_to_string(trace).as_bytes())
-}
-
-/// Compact Chrome trace-event JSON with counter tracks (ends with a
+/// Compact Chrome trace-event JSON of the spans alone (ends with a
 /// newline).
-pub fn chrome_trace_to_string_with_counters(
-    trace: &SpanTrace,
-    counters: &[CounterTrack],
-) -> String {
-    let mut s = chrome_trace_json_with_counters(trace, counters).render();
+pub fn chrome_trace_to_string(trace: &SpanTrace) -> String {
+    let mut s = chrome_trace_json_with_counters(trace, &[]).render();
     s.push('\n');
     s
 }
 
-/// Writes the Chrome trace-event JSON with counter tracks to `w`.
-pub fn write_chrome_trace_with_counters(
+/// Writes the compact Chrome trace-event JSON of the spans and the
+/// counter tracks (pass `&[]` for none) to `w`, ending with a newline.
+pub fn write_chrome_trace(
     trace: &SpanTrace,
     counters: &[CounterTrack],
     mut w: impl Write,
 ) -> io::Result<()> {
-    w.write_all(chrome_trace_to_string_with_counters(trace, counters).as_bytes())
+    let doc = chrome_trace_json_with_counters(trace, counters).render();
+    writeln!(w, "{doc}")
 }
 
-/// Parses a Chrome trace-event document and counts its span slices,
-/// checking each carries the fields the viewers require (`ph`, `ts`,
-/// `dur`, `pid`, `tid`, `name`). Returns the number of `"X"` events, or a
-/// description of the first malformed one. CI runs this over the exported
-/// artifact as the trace smoke check.
-pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    validate_chrome_trace_full(text).map(|(slices, _)| slices)
-}
-
-/// Like [`validate_chrome_trace`], but also validates counter events
-/// (`"ph": "C"`: numeric `ts`/`pid`/`tid`, a `name`, and a numeric
-/// `args.value`) and returns `(span slices, counter samples)`. CI runs
-/// this over the telemetry smoke artifact to check counter tracks made it
-/// into the export.
-pub fn validate_chrome_trace_full(text: &str) -> Result<(usize, usize), String> {
+/// Parses a Chrome trace-event document, checking that each span slice
+/// (`"ph": "X"`) carries the fields the viewers require (numeric `ts`,
+/// `dur`, `pid`, `tid`, and a `name`) and each counter event
+/// (`"ph": "C"`) numeric `ts`, `pid`, `tid`, a `name` and a numeric
+/// `args.value`. Returns `(span slices, counter samples)`, or a
+/// description of the first malformed event.
+pub fn validate_chrome_trace(text: &str) -> Result<(usize, usize), String> {
     let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e:?}"))?;
     let Some(Json::Arr(events)) = doc.get("traceEvents") else {
         return Err("missing traceEvents array".to_string());
@@ -362,7 +331,7 @@ mod tests {
     #[test]
     fn chrome_trace_round_trips_with_required_fields() {
         let text = chrome_trace_to_string(&sample_trace());
-        assert_eq!(validate_chrome_trace(&text), Ok(2));
+        assert_eq!(validate_chrome_trace(&text), Ok((2, 0)));
         let doc = Json::parse(&text).unwrap();
         let Some(Json::Arr(events)) = doc.get("traceEvents") else {
             panic!("missing traceEvents");
@@ -400,10 +369,10 @@ mod tests {
                 points: vec![(2.0, 7.0)],
             },
         ];
-        let text = chrome_trace_to_string_with_counters(&sample_trace(), &counters);
-        assert_eq!(validate_chrome_trace_full(&text), Ok((2, 3)));
-        // The plain validator still counts only span slices.
-        assert_eq!(validate_chrome_trace(&text), Ok(2));
+        let mut doc = Vec::new();
+        write_chrome_trace(&sample_trace(), &counters, &mut doc).unwrap();
+        let text = String::from_utf8(doc).unwrap();
+        assert_eq!(validate_chrome_trace(&text), Ok((2, 3)));
         let doc = Json::parse(&text).unwrap();
         let Some(Json::Arr(events)) = doc.get("traceEvents") else {
             panic!("missing traceEvents");
@@ -426,7 +395,7 @@ mod tests {
     fn validate_full_rejects_counter_without_value() {
         let bad = "{\"traceEvents\": [{\"ph\": \"C\", \"name\": \"c\", \"ts\": 1, \
                     \"pid\": 0, \"tid\": 0, \"args\": {}}]}";
-        assert!(validate_chrome_trace_full(bad)
+        assert!(validate_chrome_trace(bad)
             .unwrap_err()
             .contains("args.value"));
     }

@@ -12,7 +12,8 @@
 //!   a generated workload can be saved and replayed as monitored data;
 //! * [`json`] — a minimal in-tree JSON reader/writer (offline build);
 //! * [`io`] — JSON-lines persistence (read/write);
-//! * [`export`] — JSON export of [`lsds_obs`] metrics snapshots;
+//! * [`export`] — JSON export of [`lsds_obs`] metrics snapshots and
+//!   Chrome trace-event export of span traces;
 //! * [`series`] — plot series, CSV emission, and aligned text tables for
 //!   the experiment binaries (the "textual output" end of the UI axis);
 //! * [`plot`] — terminal bar charts and scatter canvases (the "visual
@@ -30,10 +31,7 @@ pub mod record;
 pub mod series;
 
 pub use export::{
-    chrome_trace_json, chrome_trace_json_with_counters, chrome_trace_to_string,
-    chrome_trace_to_string_with_counters, snapshot_to_json, snapshot_to_json_string,
-    validate_chrome_trace, validate_chrome_trace_full, write_chrome_trace,
-    write_chrome_trace_with_counters, write_snapshot,
+    chrome_trace_to_string, snapshot_to_json_string, validate_chrome_trace, write_chrome_trace,
 };
 pub use generator::WorkloadGenerator;
 pub use io::{read_trace, write_trace};

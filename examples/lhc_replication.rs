@@ -141,7 +141,7 @@ fn main() {
         println!("    {kind}: {n} events, {vt:.0} s of the path");
     }
     let file = "lhc_replication.trace.json";
-    match std::fs::File::create(file).and_then(|f| write_chrome_trace(&spans, f)) {
+    match std::fs::File::create(file).and_then(|f| write_chrome_trace(&spans, &[], f)) {
         Ok(()) => println!("  Chrome trace written to {file} (open in Perfetto)"),
         Err(e) => println!("  could not write {file}: {e}"),
     }

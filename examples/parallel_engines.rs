@@ -20,7 +20,7 @@ use lsds::parallel::{
     run_cmb, run_timestep, run_timewarp, run_worksteal_telemetry, LogicalProcess, LpCtx, SaveState,
     WsConfig,
 };
-use lsds::trace::{write_chrome_trace_with_counters, TextTable};
+use lsds::trace::{write_chrome_trace, TextTable};
 use std::sync::Arc;
 
 /// A site LP: processes local work and forwards results around a ring.
@@ -149,7 +149,7 @@ fn main() {
     }
     let tracks = tel.counter_tracks();
     let out = std::fs::File::create("parallel_engines.trace.json").expect("create trace file");
-    write_chrome_trace_with_counters(&SpanTrace::new(), &tracks, out).expect("write trace file");
+    write_chrome_trace(&SpanTrace::new(), &tracks, out).expect("write trace file");
     println!(
         "\nwork-stealing engine ({} workers): {} events, {} steals, {} parks; \
          {} counter tracks written to parallel_engines.trace.json",

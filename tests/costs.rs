@@ -8,8 +8,8 @@
 //! each other's allocations.
 
 use lsds::core::{
-    BinaryHeapQueue, Ctx, EventDriven, EventQueue, LpCore, Model, PooledQueue, Schedule,
-    ScheduledEvent, SimTime, TraceDriven,
+    BinaryHeapQueue, CalendarQueue, Ctx, EventDriven, EventQueue, LadderQueue, LpCore, Model,
+    PooledQueue, Schedule, ScheduledEvent, SimTime, SortedListQueue, TraceDriven,
 };
 use lsds::grid::organization::{flat_grid, SiteSpec};
 use lsds::grid::scheduler::LeastLoaded;
@@ -388,6 +388,33 @@ fn event_driven_pooled_heap_allocates_nothing_per_event() {
     let queue = PooledQueue::new(BinaryHeapQueue::new());
     let engine = EventDriven::with_queue(Hold { state: 7 }, queue);
     assert_eq!(hold_allocations(engine), 0);
+}
+
+/// DESIGN §6c: the sorted list inserts into and pops from one `Vec` that
+/// keeps its capacity, so once filled it allocates nothing per event.
+#[test]
+fn event_driven_sorted_list_allocates_nothing_per_event() {
+    let engine = EventDriven::with_queue(Hold { state: 7 }, SortedListQueue::new());
+    assert_eq!(hold_allocations(engine), 0);
+}
+
+/// DESIGN §6c: the calendar does not resize at a steady 1 000 pending, but
+/// a day's sorted `Vec` still grows whenever its length, consumed prefix
+/// included, passes that day's earlier high-water mark.
+#[test]
+fn event_driven_calendar_allocations_are_pinned() {
+    let engine = EventDriven::with_queue(Hold { state: 7 }, CalendarQueue::new());
+    assert_eq!(hold_allocations(engine), 138);
+}
+
+/// DESIGN §6c: every rung the ladder spawns (`Rung::spanning`) allocates a
+/// fresh bucket array and one fresh `Vec` per bucket it fills, and the top
+/// tier a rung takes over regrows from empty, so its allocations grow with
+/// the events delivered.
+#[test]
+fn event_driven_ladder_allocations_are_pinned() {
+    let engine = EventDriven::with_queue(Hold { state: 7 }, LadderQueue::new());
+    assert_eq!(hold_allocations(engine), 10_429);
 }
 
 /// `n` JSON-lines trace records over 11 nodes and 50 metrics; each name
