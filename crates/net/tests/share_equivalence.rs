@@ -6,8 +6,9 @@
 //! run both modes on the same seeded random workloads — multi-component
 //! topologies, Poisson link outages, capacity degradations, reroutes and
 //! aborts — and compare complete trajectories: completion fingerprints,
-//! abort/reroute/rejection counts, and a per-event digest of every link's
-//! load bits (which pins down event *order*, not just final results).
+//! abort/reroute/rejection counts, and a digest of every link's load bits,
+//! folded each time an event changes them (which pins down the order of
+//! the load changes, not just final results).
 //!
 //! The same harness also proves the route-cache properties (stale cached
 //! paths never survive a fault; cache-off runs match cache-on runs) and
@@ -25,9 +26,14 @@ struct Harness {
     done: Vec<FlowDone>,
     plan: Vec<(f64, NodeId, NodeId, f64)>,
     no_route: u64,
-    /// FNV-1a over every link's load bits after every event: a compact
-    /// witness of the whole rate trajectory, including event order.
+    /// FNV-1a over every link's load bits, folded after each event that
+    /// changes them: a compact witness of the whole rate trajectory,
+    /// including the order of its changes. An event that changes no load
+    /// (a superseded completion, a fault on an idle link) folds nothing,
+    /// so the digest does not depend on how many such events a run has.
     digest: u64,
+    /// The load bits last folded into `digest`.
+    folded: Vec<u64>,
     /// After every event, assert no cached route crosses a down link.
     check_routes: bool,
 }
@@ -68,8 +74,14 @@ impl Model for Harness {
                 self.done.extend(done);
             }
         }
-        for l in 0..self.net.topology().link_count() {
-            self.digest = fnv(self.digest, self.net.link_load(LinkId(l)).to_bits());
+        let loads =
+            (0..self.net.topology().link_count()).map(|l| self.net.link_load(LinkId(l)).to_bits());
+        if !loads.clone().eq(self.folded.iter().copied()) {
+            self.folded.clear();
+            self.folded.extend(loads);
+            for &bits in &self.folded {
+                self.digest = fnv(self.digest, bits);
+            }
         }
         if self.check_routes {
             let n = self.net.topology().node_count();
@@ -186,6 +198,7 @@ fn run_clustered(seed: u64, cfg: &RunCfg) -> (Trajectory, FlowNet) {
         plan: plan.clone(),
         no_route: 0,
         digest: 0xCBF2_9CE4_8422_2325,
+        folded: Vec::new(),
         check_routes: cfg.check_routes,
     });
     for (i, &(t, ..)) in plan.iter().enumerate() {
@@ -354,9 +367,17 @@ fn contention_topo(side: usize) -> (Topology, Vec<NodeId>, [LinkId; 4]) {
     (t, hosts, [core[0], core[1], core[2], core[3]])
 }
 
-/// Runs the contention case and returns its per-event link-load digest
-/// plus the reroute and abort counts.
-fn contention_run(mode: ShareMode) -> (u64, u64, u64) {
+/// FNV-1a over completion records in delivery order: each record's tag and
+/// finish-time bits.
+fn completions_digest(done: &[FlowDone]) -> u64 {
+    done.iter().fold(0xCBF2_9CE4_8422_2325, |h, d| {
+        fnv(fnv(h, d.tag), d.finished.seconds().to_bits())
+    })
+}
+
+/// Runs the contention case and returns its link-load digest, the digest
+/// of its completion records, and its reroute and abort counts.
+fn contention_run(mode: ShareMode) -> (u64, u64, u64, u64) {
     let side = 6;
     let (topo, hosts, core) = contention_topo(side);
     let mut rng = SimRng::new(0xC0_4E);
@@ -394,6 +415,7 @@ fn contention_run(mode: ShareMode) -> (u64, u64, u64) {
         plan: plan.clone(),
         no_route: 0,
         digest: 0xCBF2_9CE4_8422_2325,
+        folded: Vec::new(),
         check_routes: false,
     });
     for (i, &(t, ..)) in plan.iter().enumerate() {
@@ -405,19 +427,25 @@ fn contention_run(mode: ShareMode) -> (u64, u64, u64) {
     sim.run();
     let m = sim.into_model();
     assert_eq!(m.net.in_flight(), 0, "run must drain");
-    (m.digest, m.net.rerouted(), m.net.aborted())
+    (
+        m.digest,
+        completions_digest(&m.done),
+        m.net.rerouted(),
+        m.net.aborted(),
+    )
 }
 
 /// Both modes share one fill, so comparing them cannot catch a drift they
-/// share: pin the contention case's link-load digest (and its reroute and
-/// abort counts) to the values the sort-based fill produced.
+/// share: pin the contention case's link-load digest, the digest of its
+/// completion records (tag and finish time, in delivery order) and its
+/// reroute and abort counts.
 #[test]
 fn contention_digest_is_pinned_in_both_modes() {
     for mode in [ShareMode::Incremental, ShareMode::Full] {
         let got = contention_run(mode);
         assert_eq!(
             got,
-            (0xb539_43b0_be96_fc27, 305, 45),
+            (0xe59c_8457_8210_062e, 0xae1b_e9cd_8950_40c4, 305, 45),
             "{mode:?}: trajectory drifted"
         );
     }
