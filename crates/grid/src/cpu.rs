@@ -306,15 +306,16 @@ impl CpuFarm {
         lost
     }
 
-    /// Handles a farm event, returning completions.
-    pub fn handle(&mut self, ev: CpuEvent, sched: &mut impl Schedule<CpuEvent>) -> Vec<CpuDone> {
+    /// Handles a farm event, returning the job it completes, if any (a
+    /// superseded `Finish` completes none).
+    pub fn handle(&mut self, ev: CpuEvent, sched: &mut impl Schedule<CpuEvent>) -> Option<CpuDone> {
         let CpuEvent::Finish { job, gen } = ev;
         let valid = self
             .running
             .binary_search_by_key(&job, |&(j, _)| j)
             .is_ok_and(|i| self.running[i].1.gen == gen);
         if !valid {
-            return Vec::new();
+            return None;
         }
         let now = sched.now();
         self.advance_progress(now);
@@ -341,7 +342,7 @@ impl CpuFarm {
                 self.reshare_time(now, sched);
             }
         }
-        vec![done]
+        Some(done)
     }
 }
 
@@ -369,7 +370,7 @@ mod tests {
                     self.farm.submit(JobId(j), w, o, &mut ctx.map(Ev::Cpu));
                 }
                 Ev::Cpu(ce) => {
-                    for d in self.farm.handle(ce, &mut ctx.map(Ev::Cpu)) {
+                    if let Some(d) = self.farm.handle(ce, &mut ctx.map(Ev::Cpu)) {
                         self.done
                             .push((d.job.0, d.started.seconds(), ctx.now().seconds()));
                     }
@@ -425,7 +426,7 @@ mod tests {
                         self.lost = self.farm.crash(ctx.now());
                     }
                     CEv::Cpu(ce) => {
-                        for d in self.farm.handle(ce, &mut ctx.map(CEv::Cpu)) {
+                        if let Some(d) = self.farm.handle(ce, &mut ctx.map(CEv::Cpu)) {
                             self.done.push(d.job.0);
                         }
                     }

@@ -244,6 +244,11 @@ pub struct GridModel {
     /// Reused [`FlowNet::handle_into`] completion buffer (empty between
     /// events).
     net_done: Vec<lsds_net::FlowDone>,
+    /// The broker's view of the sites, rebuilt in place for each job.
+    view_sites: Vec<SiteSnapshot>,
+    /// Per site, the bytes of the job's inputs it lacks; rebuilt in place
+    /// for each job.
+    view_missing: Vec<f64>,
     /// Jobs the broker deferred while no site was available.
     deferred: VecDeque<JobSpec>,
     /// Whether a `RetryDeferred` sweep is already scheduled.
@@ -356,6 +361,8 @@ impl GridModel {
             site_up: vec![true; n_sites],
             retry_attempts: HashMap::new(),
             net_done: Vec::new(),
+            view_sites: Vec::new(),
+            view_missing: Vec::new(),
             deferred: VecDeque::new(),
             deferred_retry_pending: false,
             defer_retry_delay: 30.0,
@@ -657,12 +664,10 @@ impl GridModel {
     }
 
     fn submit_job(&mut self, spec: JobSpec, ctx: &mut Ctx<'_, GridEvent>) {
-        // build the broker's view
-        let snaps: Vec<SiteSnapshot> = self
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SiteSnapshot {
+        // build the broker's view in the reused buffers
+        self.view_sites.clear();
+        self.view_sites
+            .extend(self.sites.iter().enumerate().map(|(i, s)| SiteSnapshot {
                 id: s.id,
                 eligible: self.eligible[i] && self.site_up[i],
                 cores: s.cpu.cores(),
@@ -671,22 +676,18 @@ impl GridModel {
                 queued: s.cpu.queued(),
                 price: s.price,
                 tier: s.tier,
-            })
-            .collect();
-        let missing_bytes: Vec<f64> = self
-            .sites
-            .iter()
-            .map(|s| {
-                spec.inputs
-                    .iter()
-                    .filter(|f| !s.disk.has(**f))
-                    .map(|f| self.catalog.size(*f))
-                    .sum()
-            })
-            .collect();
+            }));
+        self.view_missing.clear();
+        self.view_missing.extend(self.sites.iter().map(|s| {
+            spec.inputs
+                .iter()
+                .filter(|f| !s.disk.has(**f))
+                .map(|f| self.catalog.size(*f))
+                .sum::<f64>()
+        }));
         let view = PlacementView {
-            sites: &snaps,
-            missing_bytes: &missing_bytes,
+            sites: &self.view_sites,
+            missing_bytes: &self.view_missing,
             now: ctx.now(),
         };
         let site = match self.policy.select(&spec, &view) {
@@ -949,8 +950,7 @@ impl GridModel {
         let now = ctx.now();
         let mut missing = 0usize;
         let mut pinned = Vec::new();
-        let inputs = spec.inputs.clone();
-        for f in inputs {
+        for &f in &spec.inputs {
             if self.sites[site.0].disk.has(f) {
                 self.sites[site.0].disk.touch(f, now);
                 self.sites[site.0].disk.pin(f);
@@ -1309,10 +1309,10 @@ impl Model for GridModel {
                 self.submit_job(spec, ctx);
             }
             GridEvent::Cpu { site, ev } => {
-                let dones = self.sites[site]
+                if let Some(d) = self.sites[site]
                     .cpu
-                    .handle(ev, &mut ctx.map(move |ev| GridEvent::Cpu { site, ev }));
-                for d in dones {
+                    .handle(ev, &mut ctx.map(move |ev| GridEvent::Cpu { site, ev }))
+                {
                     self.on_cpu_done(site, d.job, d.started, ctx);
                 }
             }

@@ -14,9 +14,10 @@
 //! only the connected component of the link↔flow bipartite graph that is
 //! actually coupled to the change is recomputed (dirty-set propagation
 //! from the affected links). Flows in untouched components keep their
-//! rates, their progress bookkeeping, and their already-scheduled
-//! completion events. Because the max-min progressive-filling arithmetic
-//! of one component never reads another component's links, the
+//! rates, their progress bookkeeping, and their completion predictions;
+//! each component keeps one pending `Complete` event, for its
+//! earliest-finishing flow. Because the max-min progressive-filling
+//! arithmetic of one component never reads another component's links, the
 //! incremental result is bit-identical to a full recompute
 //! ([`ShareMode::Full`]) — `tests/share_equivalence.rs` runs both side by
 //! side on seeded random workloads (including faults) and asserts
@@ -65,7 +66,14 @@ pub enum FlowEvent {
         /// Raw id of the starting flow.
         flow: u64,
     },
-    /// Predicted completion; stale generations are ignored.
+    /// Predicted completion of the earliest-finishing flow of its
+    /// connected component: each component keeps exactly one such event
+    /// valid, re-armed whenever a reshare of the component changes which
+    /// flow finishes first or when. Stale generations are ignored.
+    ///
+    /// A flow predicted in one reshare but armed in a later one runs after
+    /// any event for the same instant scheduled in between (an exact float
+    /// tie with another component's completion, or a non-`FlowNet` event).
     Complete {
         /// Raw id of the completing flow.
         flow: u64,
@@ -157,6 +165,14 @@ struct Flow {
     rate: f64,
     last_update: SimTime,
     gen: u64,
+    /// Predicted completion under the current rate, with the order number
+    /// of that prediction: two predictions for one instant order the way
+    /// their `Complete` events would if both were scheduled when made.
+    /// Meaningless while `gen` is 0 (never rated).
+    due: (SimTime, u64),
+    /// Whether the current prediction's `Complete` is pending; cleared
+    /// whenever a rate change makes a new prediction.
+    armed: bool,
     tag: u64,
     requested: SimTime,
     active: bool,
@@ -184,6 +200,14 @@ struct Scratch {
     /// Per flow slot: the rate the current fill assigned (applied only if
     /// it differs).
     rate: Vec<f64>,
+    /// Per flow slot: which connected piece of the current scope the flow
+    /// is in, numbered from 0 in search order.
+    piece: Vec<u32>,
+    /// Connected pieces in the current scope.
+    pieces: u32,
+    /// Per piece: its earliest prediction and that flow's slot (`None`
+    /// while none of its flows has been rated).
+    earliest: Vec<Option<((SimTime, u64), u32)>>,
     /// Per component link, by position in `comp_links`: residual capacity
     /// during progressive filling.
     cap: Vec<f64>,
@@ -408,6 +432,8 @@ pub struct FlowNet {
     /// `Complete` events dropped because a later reshare superseded them
     /// or their flow is gone.
     stale_completions: u64,
+    /// Completion predictions made so far: the next one's order number.
+    predictions: u64,
 }
 
 impl FlowNet {
@@ -450,6 +476,7 @@ impl FlowNet {
             links_touched: 0,
             flows_touched: 0,
             stale_completions: 0,
+            predictions: 0,
         }
     }
 
@@ -664,6 +691,8 @@ impl FlowNet {
             rate: 0.0,
             last_update: sched.now(),
             gen: 0,
+            due: (SimTime::ZERO, 0),
+            armed: false,
             tag,
             requested: sched.now(),
             active: false,
@@ -1219,8 +1248,9 @@ impl FlowNet {
         s.reops.clear();
     }
 
-    /// Recomputes max-min fair rates for the dirty scope and reschedules
-    /// completions of the flows whose rate actually changed.
+    /// Recomputes max-min fair rates for the dirty scope, re-predicts the
+    /// completions of the flows whose rate actually changed, and arms the
+    /// earliest completion of each connected piece of the scope.
     ///
     /// Callers push the link indices affected by the triggering change
     /// into `scratch.seeds` first. Under [`ShareMode::Incremental`] the
@@ -1229,7 +1259,7 @@ impl FlowNet {
     /// [`ShareMode::Full`] it is every loaded link (the seeds are
     /// ignored). Either way, only flows whose freshly computed rate
     /// differs bit-wise from their current rate are advanced, re-rated,
-    /// and rescheduled — flows outside the dirty component always compare
+    /// and re-predicted — flows outside the dirty component always compare
     /// equal (their component's fill arithmetic reads nothing that
     /// changed), which is what makes the two modes bit-identical.
     fn reshare(&mut self, now: SimTime, sched: &mut impl Schedule<FlowEvent>) {
@@ -1248,11 +1278,12 @@ impl FlowNet {
     }
 
     /// Collects the scope of the next fill into `comp_links` and
-    /// `comp_flows`. Membership is recorded in `link_bits`/`flow_bits`, so
-    /// a revisit costs one bit test and the ascending orders the fill
-    /// needs come from one scan of each bitset. When the scope holds two
-    /// or more flows, their bits stay set for the fill to clear as it
-    /// fixes them; otherwise every bit is cleared here.
+    /// `comp_flows`, and labels each of its flows with the connected piece
+    /// of the scope it is in. Membership is recorded in
+    /// `link_bits`/`flow_bits`, so a revisit costs one bit test and the
+    /// ascending orders the fill needs come from one scan of each bitset.
+    /// When the scope holds two or more flows, their bits stay set for the
+    /// fill to clear as it fixes them; otherwise every bit is cleared here.
     fn find_component(&mut self) {
         let s = &mut self.scratch;
         s.epoch += 1;
@@ -1260,55 +1291,56 @@ impl FlowNet {
         s.comp_links.clear();
         s.comp_flows.clear();
         s.flow_bits.grow(self.next_id as usize);
-        match self.sharing {
-            ShareMode::Full => {
-                s.seeds.clear();
-                for (li, fl) in self.link_flows.iter().enumerate() {
-                    if !fl.is_empty() {
-                        s.link_bits.insert(li);
-                        s.comp_links.push(li);
-                    }
-                }
-                self.flows.for_each(|_, f| {
-                    if f.active {
-                        s.flow_bits.insert(f.id as usize);
-                        s.comp_flows.push(f.id);
-                    }
-                });
+        let slots = self.flows.slot_bound() as usize;
+        if s.piece.len() < slots {
+            s.piece.resize(slots, 0);
+        }
+        if self.sharing == ShareMode::Full {
+            // the scope is every loaded link, searched the same way
+            s.seeds.clear();
+            s.seeds
+                .extend((0..self.link_flows.len()).filter(|&l| !self.link_flows[l].is_empty()));
+        }
+        // component search over the link↔flow bipartite graph, one seed at
+        // a time: each seed that reaches a flow not yet found opens a piece
+        s.pieces = 0;
+        while let Some(seed) = s.seeds.pop() {
+            if s.link_stamp[seed] == epoch {
+                continue;
             }
-            ShareMode::Incremental => {
-                // component search over the link↔flow bipartite graph
-                s.queue.clear();
-                while let Some(l) = s.seeds.pop() {
-                    if s.link_stamp[l] != epoch {
-                        s.link_stamp[l] = epoch;
-                        s.queue.push(l);
-                    }
+            s.link_stamp[seed] = epoch;
+            s.queue.push(seed);
+            let found = s.comp_flows.len();
+            while let Some(l) = s.queue.pop() {
+                if self.link_flows[l].is_empty() {
+                    continue;
                 }
-                while let Some(l) = s.queue.pop() {
-                    if self.link_flows[l].is_empty() {
+                s.link_bits.insert(l);
+                s.comp_links.push(l);
+                for &fid in &self.link_flows[l] {
+                    if !s.flow_bits.insert(fid as usize) {
                         continue;
                     }
-                    s.link_bits.insert(l);
-                    s.comp_links.push(l);
-                    for &fid in &self.link_flows[l] {
-                        if !s.flow_bits.insert(fid as usize) {
-                            continue;
-                        }
-                        s.comp_flows.push(fid);
-                        let Some(f) = self.fmap.get(fid).and_then(|slot| self.flows.get(slot))
-                        else {
-                            debug_assert!(false, "indexed flow vanished");
-                            continue;
-                        };
-                        for &l2 in &f.path {
-                            if s.link_stamp[l2.0] != epoch {
-                                s.link_stamp[l2.0] = epoch;
-                                s.queue.push(l2.0);
-                            }
+                    s.comp_flows.push(fid);
+                    let Some((slot, f)) = self
+                        .fmap
+                        .get(fid)
+                        .and_then(|slot| Some((slot, self.flows.get(slot)?)))
+                    else {
+                        debug_assert!(false, "indexed flow vanished");
+                        continue;
+                    };
+                    s.piece[slot as usize] = s.pieces;
+                    for &l2 in &f.path {
+                        if s.link_stamp[l2.0] != epoch {
+                            s.link_stamp[l2.0] = epoch;
+                            s.queue.push(l2.0);
                         }
                     }
                 }
+            }
+            if s.comp_flows.len() > found {
+                s.pieces += 1;
             }
         }
         if s.comp_flows.len() > 1 {
@@ -1477,14 +1509,25 @@ impl FlowNet {
         }
     }
 
-    /// Applies the rates the current fill computed and reschedules
-    /// completions, ascending flow id over the component: scheduling
-    /// order assigns engine sequence numbers, which break ties between
-    /// equal-time events. Flows whose freshly computed rate is bit-equal
-    /// to their current rate are left entirely alone — no progress
-    /// charge, no generation bump, no reschedule — so their pending
-    /// completion events survive verbatim.
+    /// Applies the rates the current fill computed and re-predicts the
+    /// completions of the flows whose rate changed, ascending flow id over
+    /// the scope, then arms each piece's earliest prediction.
+    ///
+    /// Flows whose freshly computed rate is bit-equal to their current
+    /// rate are left entirely alone — no progress charge, no generation
+    /// bump, no new prediction. A changed flow's prediction takes the next
+    /// order number, as the engine sequence number of an event scheduled
+    /// then would. Each connected piece of the scope then gets one pending
+    /// `Complete`, for its earliest prediction, unless that flow's is
+    /// already pending; pieces are armed in ascending prediction order.
+    /// Every piece the change touched is in the scope, and a piece outside
+    /// it keeps the event armed when it was last reshared, so every
+    /// component's earliest flow always has a valid `Complete` pending.
     fn apply_pending(&mut self, now: SimTime, sched: &mut impl Schedule<FlowEvent>) {
+        self.scratch.earliest.clear();
+        self.scratch
+            .earliest
+            .resize(self.scratch.pieces as usize, None);
         for i in 0..self.scratch.comp_flows.len() {
             let fid = self.scratch.comp_flows[i];
             // one lookup: check, then inline `advance_one` (the flow is in
@@ -1498,29 +1541,54 @@ impl FlowNet {
                 continue;
             };
             let new = self.scratch.rate[slot as usize];
-            if new.to_bits() == f.rate.to_bits() {
-                continue;
-            }
-            let dt = now - f.last_update;
-            if dt > 0.0 {
-                let moved = (f.rate * dt).min(f.remaining);
-                f.remaining -= moved;
+            if new.to_bits() != f.rate.to_bits() {
+                let dt = now - f.last_update;
+                if dt > 0.0 {
+                    let moved = (f.rate * dt).min(f.remaining);
+                    f.remaining -= moved;
+                    for &l in &f.path {
+                        self.link_bytes[l.0] += moved;
+                    }
+                }
+                let old = f.rate;
+                f.rate = new;
+                f.gen += 1;
+                f.armed = false;
+                f.last_update = now;
+                debug_assert!(f.rate > 0.0, "active flow with zero rate");
+                let eta = f.remaining / f.rate;
+                f.due = (now.after(eta), self.predictions);
+                self.predictions += 1;
                 for &l in &f.path {
-                    self.link_bytes[l.0] += moved;
+                    self.load[l.0] = self.load[l.0] - old + new;
+                    self.scratch.changed_links.push(l.0);
                 }
             }
-            let old = f.rate;
-            f.rate = new;
-            f.gen += 1;
-            f.last_update = now;
-            debug_assert!(f.rate > 0.0, "active flow with zero rate");
-            let eta = f.remaining / f.rate;
-            let gen = f.gen;
-            for &l in &f.path {
-                self.load[l.0] = self.load[l.0] - old + new;
-                self.scratch.changed_links.push(l.0);
+            if f.gen == 0 {
+                continue; // never rated: nothing predicted
             }
-            sched.schedule_at(now.after(eta), FlowEvent::Complete { flow: fid, gen });
+            let earliest = &mut self.scratch.earliest[self.scratch.piece[slot as usize] as usize];
+            if earliest.is_none_or(|(due, _)| f.due < due) {
+                *earliest = Some((f.due, slot));
+            }
+        }
+        let s = &mut self.scratch;
+        s.earliest.sort_unstable_by_key(|e| e.map(|(due, _)| due));
+        for &(due, slot) in s.earliest.iter().flatten() {
+            let Some(f) = self.flows.get_mut(slot) else {
+                debug_assert!(false, "flow vanished before arming");
+                continue;
+            };
+            if !f.armed {
+                f.armed = true;
+                sched.schedule_at(
+                    due.0,
+                    FlowEvent::Complete {
+                        flow: f.id,
+                        gen: f.gen,
+                    },
+                );
+            }
         }
         #[cfg(debug_assertions)]
         self.verify_load_cache();
@@ -2066,6 +2134,8 @@ mod tests {
             rate: 0.0,
             last_update: SimTime::ZERO,
             gen: 0,
+            due: (SimTime::ZERO, 0),
+            armed: false,
             tag: id,
             requested: SimTime::ZERO,
             active: true,

@@ -1,5 +1,6 @@
-//! Deterministic cost contracts: allocation counts and bytes that wall
-//! time on a noisy host cannot resolve, pinned exactly after a warm-up.
+//! Deterministic cost contracts: allocation counts, bytes and event counts
+//! that wall time on a noisy host cannot resolve, pinned exactly after a
+//! warm-up.
 //!
 //! A counting global allocator lives in this test crate alone, so every
 //! product crate keeps `forbid(unsafe_code)`. Its counters are
@@ -199,6 +200,74 @@ fn try_start_served_from_route_cache_allocates_nothing() {
         net.cancel(id.expect("route"), &mut sched);
     }
     assert_eq!(net.route_cache_stats(), (hits + 15, misses));
+}
+
+/// Transfers staggered onto one shared link: a start every millisecond,
+/// each a megabyte larger than the last, so every arrival and every
+/// departure changes the fair share and re-rates every flow in the system.
+struct Staggered {
+    net: FlowNet,
+    ends: (NodeId, NodeId),
+    /// `FlowEvent`s delivered so far.
+    net_events: u64,
+}
+
+enum StaggeredEv {
+    Start(u64),
+    Net(FlowEvent),
+}
+
+impl Model for Staggered {
+    type Event = StaggeredEv;
+    fn handle(&mut self, ev: StaggeredEv, ctx: &mut Ctx<'_, StaggeredEv>) {
+        match ev {
+            StaggeredEv::Start(i) => {
+                let (src, dst) = self.ends;
+                let bytes = 1.0e6 * (i + 1) as f64;
+                self.net
+                    .start(src, dst, bytes, i, &mut ctx.map(StaggeredEv::Net));
+            }
+            StaggeredEv::Net(fe) => {
+                self.net_events += 1;
+                self.net.handle(fe, &mut ctx.map(StaggeredEv::Net));
+            }
+        }
+    }
+}
+
+/// `FlowEvent`s delivered by a run of `n` staggered transfers, and the
+/// transfers completed.
+fn staggered_flow_events(n: u64) -> (u64, u64) {
+    let mut t = Topology::new();
+    let a = t.add_node(NodeKind::Host, "a");
+    let b = t.add_node(NodeKind::Host, "b");
+    t.add_link(a, b, mbps(800.0), 0.0);
+    let mut sim = EventDriven::new(Staggered {
+        net: FlowNet::new(t),
+        ends: (a, b),
+        net_events: 0,
+    });
+    for i in 0..n {
+        sim.schedule(SimTime::new(i as f64 * 1.0e-3), StaggeredEv::Start(i));
+    }
+    sim.run();
+    let m = sim.into_model();
+    (m.net_events, m.net.completed())
+}
+
+/// DESIGN §6b: a component keeps one pending completion, for its earliest
+/// flow, so a reshare schedules at most one `Complete` however many rates
+/// it changes. Per transfer that is its `Begin`, the completion armed by
+/// its arrival and the one armed by one departure; the last departure
+/// leaves no flow to arm. The count per completed flow does not grow with
+/// how many flows share the link.
+#[test]
+fn flow_events_per_completed_flow_do_not_grow_with_sharers() {
+    for n in [50, 500] {
+        let (events, completed) = staggered_flow_events(n);
+        assert_eq!(completed, n);
+        assert_eq!(events, 3 * n - 1, "{n} sharers");
+    }
 }
 
 /// A ring of LPs passing two tokens each; a token alternates between a
@@ -482,4 +551,16 @@ fn grid_report_bytes_do_not_grow_with_finished_jobs() {
     let (large, many_bytes) = allocated_bytes(|| many.model().report());
     assert_eq!((small.records.len(), large.records.len()), (50, 2_000));
     assert_eq!(few_bytes, many_bytes);
+}
+
+/// A compute-only job's way through the grid (broker view, placement, CPU
+/// start and finish, job record) allocates nothing of its own: the broker
+/// view is rebuilt in buffers the model keeps, and a CPU completion comes
+/// back as an `Option`. Doubling the jobs adds only the doubling steps of
+/// the vectors that grow with the run (2 allocations), not one per job.
+#[test]
+fn compute_only_jobs_allocate_nothing_per_job() {
+    let (_, small) = allocations(|| finished_grid(2_000));
+    let (_, large) = allocations(|| finished_grid(4_000));
+    assert_eq!(large - small, 2, "2 000 jobs: {small}, 4 000: {large}");
 }
